@@ -23,7 +23,6 @@ from .geometry import (
     build_radial_curve,
     discrete_curvature,
     read_polyline,
-    segment_lengths,
 )
 from .stepping import SolverConfig, Trajectory, evolve
 
@@ -215,8 +214,7 @@ def convergence_study(
     node_counts = [base_node_count * 2**k for k in range(levels)]
     curvature_errors = []
     for m in node_counts:
-        circle = build_circle(1.0, m)
-        kappa = discrete_curvature(circle, segment_lengths(circle))
+        kappa = discrete_curvature(build_circle(1.0, m))
         curvature_errors.append((float(m), float(np.max(np.abs(kappa - 1.0)))))
 
     csf = FlowModel.curve_shortening()

@@ -36,6 +36,7 @@ from .geometry import (
     build_radial_curve,
     discrete_curvature,
     read_polyline,
+    segment_lengths,
 )
 from .stepping import (
     DiagnosticsRow,
@@ -295,15 +296,11 @@ def write_summary(rows: list[DiagnosticsRow], path: str | Path) -> None:
         raise CurveFlowError(f"cannot write summary {path}: {exc}") from exc
 
 
-def _raw_segment_lengths(curve: CurveState):
-    nodes = curve.nodes
-    return np.linalg.norm(nodes - np.roll(nodes, 1, axis=0), axis=1)
-
-
 def _write_trajectory(trajectory: Trajectory, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for index, (t, state) in enumerate(trajectory.snapshots):
-        kappa = discrete_curvature(state, _raw_segment_lengths(state))
+        # no degeneracy threshold: the last state of an extinct run is recorded too
+        kappa = discrete_curvature(state, segment_lengths(state, 0.0))
         write_snapshot(t, state, kappa, out_dir / f"snapshot_{index:06d}.dat")
     write_summary(trajectory.diagnostics, out_dir / "summary.csv")
 

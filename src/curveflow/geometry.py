@@ -18,9 +18,10 @@ Sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -39,28 +40,32 @@ class Orientation(Enum):
 
 
 def _frozen_array(values: ArrayLike) -> FloatArray:
-    arr = np.array(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64, order="C")
     arr.flags.writeable = False
     return arr
 
 
-def _shoelace(nodes: FloatArray) -> float:
-    x, y = nodes[:, 0], nodes[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return float(0.5 * np.sum(x * yn - xn * y))
+def _shoelace(prev: FloatArray, edge: FloatArray) -> float:
+    """Signed area sum_i (X_{i-1} - X_0) x (X_i - X_{i-1}) / 2 from the (M, 2)
+    rows ``prev`` = X_{i-1} - X_0 and ``edge`` = X_i - X_{i-1}.  Taken about
+    X_0, a tiny curve away from the origin keeps the sign of its area."""
+    return 0.5 * float(np.dot(prev[:, 0], edge[:, 1]) - np.dot(prev[:, 1], edge[:, 0]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CurveState:
     """Immutable closed polygon of M >= 4 planar nodes, cyclically indexed.
 
     Node k connects to nodes (k-1) % M and (k+1) % M.  Consecutive nodes
     must be distinct and the polygon must have nonzero signed area (so an
-    orientation is defined).
+    orientation is defined).  Validation also yields the total ``length``
+    and the signed shoelace ``area`` (positive iff counterclockwise).
     """
 
     nodes: FloatArray
     orientation: Orientation = None  # type: ignore[assignment]  # derived
+    length: float = field(init=False, repr=False)
+    area: float = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = _frozen_array(self.nodes)
@@ -70,18 +75,18 @@ class CurveState:
             raise ValueError("a closed curve needs at least 4 nodes")
         if not np.isfinite(nodes).all():
             raise ValueError("nodes contain non-finite values")
-        gaps = np.linalg.norm(nodes - np.roll(nodes, 1, axis=0), axis=1)
-        if np.any(gaps == 0.0):
+        prev = np.roll(nodes, 1, axis=0)
+        edge = nodes - prev
+        gaps = np.hypot(edge[:, 0], edge[:, 1])
+        if not gaps.all():
             raise ValueError("consecutive nodes must be distinct")
-        area = _shoelace(nodes)
+        area = _shoelace(prev - nodes[0], edge)
         if area == 0.0:
             raise ValueError("curve has zero signed area; orientation undefined")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(
-            self,
-            "orientation",
-            Orientation.COUNTERCLOCKWISE if area > 0.0 else Orientation.CLOCKWISE,
-        )
+        orientation = Orientation.COUNTERCLOCKWISE if area > 0.0 else Orientation.CLOCKWISE
+        fields = dict(nodes=nodes, length=float(gaps.sum()), area=area, orientation=orientation)
+        for name, value in fields.items():  # frozen: past the dataclass __setattr__
+            object.__setattr__(self, name, value)
 
     @property
     def node_count(self) -> int:
@@ -150,12 +155,7 @@ def load_polyline(points: ArrayLike) -> CurveState:
     an explicit closing point equal to the first).  Orientation is detected
     from the signed area.
     """
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("points must be a sequence of (x, y) pairs")
-    if arr.shape[0] < 4:
-        raise ValueError("a closed curve needs at least 4 distinct points")
-    return CurveState(arr)
+    return CurveState(points)
 
 
 def read_polyline(path: str | Path) -> CurveState:
@@ -186,18 +186,52 @@ def write_polyline(curve: CurveState, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+class _NodeGeometry(NamedTuple):
+    """Per-node finite-volume quantities; vectors are (2, M) rows of x and y."""
+
+    d: FloatArray  # |X_i - X_{i-1}|
+    d_next: FloatArray  # d_{i+1}
+    span: FloatArray  # s_i = d_i + d_{i+1}
+    tangent: FloatArray  # t_i = (X_i - X_{i-1}) / d_i
+    curvature_vec: FloatArray  # k_i = 2 (t_{i+1} - t_i) / s_i
+    normal: FloatArray  # N_i = (X_{i+1} - X_{i-1})^perp / s_i
+    kappa: FloatArray  # -k_i . N_i
+
+
+def _node_geometry(
+    nodes: FloatArray, epsilon: float = 0.0, d: FloatArray | None = None
+) -> _NodeGeometry:
+    """Every per-node quantity of the scheme, each computed once.
+
+    The chord X_{i+1} - X_{i-1} is the sum of the edges entering and leaving
+    node i.  Raises DegenerateSegmentError when a segment is shorter than
+    ``epsilon``; given segment lengths ``d`` are used as they are.
+    """
+    xy = nodes.T
+    padded = np.concatenate((xy[:, -1:], xy, xy[:, :1]), axis=1)
+    edge = padded[:, 1:] - padded[:, :-1]  # X_i - X_{i-1}, i = 0..M; index M repeats 0
+    lengths = np.hypot(edge[0], edge[1]) if d is None else np.concatenate((d, d[:1]))
+    if lengths.min() < epsilon:
+        raise DegenerateSegmentError(
+            f"segment length {lengths.min():.3e} below threshold {epsilon:.3e}"
+        )
+    tangent = edge / lengths
+    span = lengths[:-1] + lengths[1:]
+    curvature_vec = 2.0 * (tangent[:, 1:] - tangent[:, :-1]) / span
+    chord = edge[:, :-1] + edge[:, 1:]
+    normal = np.array((chord[1], -chord[0])) / span
+    kappa = -(curvature_vec[0] * normal[0] + curvature_vec[1] * normal[1])
+    return _NodeGeometry(
+        lengths[:-1], lengths[1:], span, tangent[:, :-1], curvature_vec, normal, kappa
+    )
+
+
 def segment_lengths(curve: CurveState, epsilon: float = EPSILON_GEOM) -> FloatArray:
     """Segment lengths d[k] = |X_k - X_{k-1}| with cyclic wraparound.
 
     Raises DegenerateSegmentError if any length falls below ``epsilon``.
     """
-    nodes = curve.nodes
-    d = np.linalg.norm(nodes - np.roll(nodes, 1, axis=0), axis=1)
-    if np.any(d < epsilon):
-        raise DegenerateSegmentError(
-            f"segment length {d.min():.3e} below threshold {epsilon:.3e}"
-        )
-    return d
+    return _node_geometry(curve.nodes, epsilon).d
 
 
 def dual_lengths(d: FloatArray) -> FloatArray:
@@ -214,19 +248,10 @@ def discrete_curvature(curve: CurveState, d: FloatArray | None = None) -> FloatA
     i.e. minus the discrete curvature vector dotted with the discrete
     normal, with (x, y)^perp = (y, -x).  Counterclockwise convex curves get
     positive values; a CCW regular M-gon of radius R gets exactly
-    cos(pi/M)/R at every node.
+    cos(pi/M)/R at every node.  Without ``d`` the segment lengths are
+    computed and checked against EPSILON_GEOM.
     """
-    if d is None:
-        d = segment_lengths(curve)
-    nodes = curve.nodes
-    d_next = np.roll(d, -1)
-    span = d + d_next
-    fwd = (np.roll(nodes, -1, axis=0) - nodes) / d_next[:, None]
-    bwd = (nodes - np.roll(nodes, 1, axis=0)) / d[:, None]
-    curvature_vec = 2.0 * (fwd - bwd) / span[:, None]
-    chord = np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)
-    normal = np.stack([chord[:, 1], -chord[:, 0]], axis=1) / span[:, None]
-    return -np.einsum("ij,ij->i", curvature_vec, normal)
+    return _node_geometry(curve.nodes, EPSILON_GEOM if d is None else 0.0, d).kappa
 
 
 def curve_length(d: FloatArray) -> float:
@@ -236,7 +261,7 @@ def curve_length(d: FloatArray) -> float:
 
 def enclosed_area(curve: CurveState) -> float:
     """Signed shoelace area of the node polygon; positive iff counterclockwise."""
-    return _shoelace(curve.nodes)
+    return curve.area
 
 
 def shape_diagnostics(curve: CurveState, d: FloatArray | None = None) -> ShapeDiagnostics:
@@ -246,12 +271,10 @@ def shape_diagnostics(curve: CurveState, d: FloatArray | None = None) -> ShapeDi
     (up to discretization); uniformity_ratio = max d_i / min d_i >= 1.
     Requires positive enclosed area (counterclockwise input).
     """
-    area = enclosed_area(curve)
-    if area <= 0.0:
+    if curve.area <= 0.0:
         raise ValueError("shape diagnostics require positive enclosed area")
-    if d is None:
-        d = segment_lengths(curve)
-    length = curve_length(d)
+    d = segment_lengths(curve) if d is None else d
+    length, area = curve_length(d), curve.area
     return ShapeDiagnostics(
         isoperimetric_ratio=length * length / (4.0 * np.pi * area),
         uniformity_ratio=float(d.max() / d.min()),
@@ -260,11 +283,11 @@ def shape_diagnostics(curve: CurveState, d: FloatArray | None = None) -> ShapeDi
 
 def compute_geometry(curve: CurveState, epsilon: float = EPSILON_GEOM) -> GeometryCache:
     """Segment lengths, dual lengths, curvature, total length and area in one pass."""
-    d = segment_lengths(curve, epsilon)
+    geo = _node_geometry(curve.nodes, epsilon)
     return GeometryCache(
-        d=_frozen_array(d),
-        dual=_frozen_array(dual_lengths(d)),
-        kappa=_frozen_array(discrete_curvature(curve, d)),
-        total_length=curve_length(d),
-        area=enclosed_area(curve),
+        d=_frozen_array(geo.d),
+        dual=_frozen_array(0.5 * geo.span),
+        kappa=_frozen_array(geo.kappa),
+        total_length=curve_length(geo.d),
+        area=curve.area,
     )

@@ -10,8 +10,8 @@ One step solves, for every node i with periodic wraparound,
 
 with the segment lengths d_i, the forcing F, the normal term and the
 tangential speed alpha all lagged at time n.  The implicit part makes each
-planar coordinate an M x M cyclic tridiagonal system; both coordinates
-share one factorization per step.
+planar coordinate an M x M cyclic tridiagonal system; both coordinates and
+the Sherman-Morrison column of the corners are solved by one banded solve.
 
 The tangential term alpha_i*T_i, T_i = (X_{i+1} - X_{i-1})/(d_i+d_{i+1}),
 redistributes the nodes along the curve without changing its shape or its
@@ -40,13 +40,8 @@ from scipy.linalg import solve_banded
 
 from .errors import DegenerateSegmentError, LinearSolverError
 from .flows import FlowModel, forcing_value
-from .geometry import (
-    EPSILON_GEOM,
-    CurveState,
-    discrete_curvature,
-    enclosed_area,
-    segment_lengths,
-)
+from .geometry import EPSILON_GEOM, CurveState, _node_geometry
+from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchmarks/tracer.py)
 
 FloatArray = NDArray[np.float64]
 
@@ -115,6 +110,45 @@ class Trajectory:
         return [t for t, _ in self.snapshots]
 
 
+_DOMINANCE_TOL = 8.0 * np.finfo(np.float64).eps  # relative to the row sums
+
+
+def _check_dominance(abs_diag: FloatArray, off_sum: FloatArray) -> None:
+    # Strict dominance up to roundoff of the row sums: rows like 1 + |a| + |c|
+    # with |a| ~ 1e16 compute a margin of exactly 0 even though the exact
+    # matrix is strictly dominant.
+    if not (abs_diag - off_sum > -_DOMINANCE_TOL * (abs_diag + off_sum)).all():
+        raise LinearSolverError("matrix is not strictly diagonally dominant")
+
+
+def _solve_cyclic(bands: FloatArray, work: FloatArray, top_right, bottom_left) -> FloatArray:
+    """Solve a dominant cyclic tridiagonal system in place; returns the (k, M) solution.
+
+    ``bands`` (3, M) is in solve_banded layout with the whole diagonal in
+    ``bands[1]``; ``work`` (k+1, M) holds k right-hand sides and a spare row.
+    With A = T + u v^T, u = gamma*e_0 + bottom_left*e_{M-1} and
+    v = e_0 + (top_right/gamma)*e_{M-1}, one banded solve of T gives T^{-1} b
+    and T^{-1} u (in the spare row) together.
+    """
+    gamma = -bands[1, 0]
+    bands[1, 0] -= gamma
+    bands[1, -1] -= top_right * bottom_left / gamma
+    work[-1] = 0.0
+    work[-1, 0], work[-1, -1] = gamma, bottom_left
+    y = solve_banded((1, 1), bands, work.T, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False).T
+    z = y[-1]
+    ratio = top_right / gamma
+    denom = 1.0 + z[0] + ratio * z[-1]
+    if not np.isfinite(denom) or abs(denom) < 1e-300:
+        raise LinearSolverError("rank-one correction is singular")
+    factor = (y[:-1, 0] + ratio * y[:-1, -1]) / denom
+    x = y[:-1] - factor[:, None] * z
+    if not np.isfinite(x).all():
+        raise LinearSolverError("solver produced non-finite values")
+    return x
+
+
 def solve_cyclic_tridiagonal(sub, diag, sup, corner_pair, rhs) -> FloatArray:
     """Solve a strictly diagonally dominant cyclic tridiagonal system.
 
@@ -128,9 +162,7 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_pair, rhs) -> FloatArray:
     solve.  Raises LinearSolverError on a dominance violation or when the
     arithmetic produces non-finite values.
     """
-    diag = np.asarray(diag, dtype=np.float64)
-    sub = np.asarray(sub, dtype=np.float64)
-    sup = np.asarray(sup, dtype=np.float64)
+    sub, diag, sup = (np.asarray(a, dtype=np.float64) for a in (sub, diag, sup))
     m = diag.shape[0]
     if m < 4:
         raise ValueError("system size must be >= 4")
@@ -146,63 +178,14 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_pair, rhs) -> FloatArray:
     if b.shape[0] != m:
         raise ValueError("rhs size does not match the system")
 
-    off_sum = np.zeros(m)
-    off_sum[0] = np.abs(sup[0]) + np.abs(alpha)
-    off_sum[-1] = np.abs(sub[-1]) + np.abs(beta)
-    off_sum[1:-1] = np.abs(sub[:-1]) + np.abs(sup[1:])
-    # Strict dominance up to roundoff of the row sums: rows like 1 + |a| + |c|
-    # with |a| ~ 1e16 compute a margin of exactly 0 even though the exact
-    # matrix is strictly dominant.
-    margin = np.abs(diag) - off_sum
-    tol = 8.0 * np.finfo(np.float64).eps * (np.abs(diag) + off_sum)
-    if not np.all(margin > -tol):
-        raise LinearSolverError("matrix is not strictly diagonally dominant")
-
-    bands = np.zeros((3, m))
-    bands[0, 1:] = sup
-    bands[2, :-1] = sub
-
-    if alpha == 0.0 and beta == 0.0:
-        bands[1, :] = diag
-        x = solve_banded((1, 1), bands, b, check_finite=False)
-    else:
-        # A = T + u v^T with u = gamma*e_0 + beta*e_{M-1}, v = e_0 + (alpha/gamma)*e_{M-1}
-        gamma = -diag[0]
-        t_diag = diag.copy()
-        t_diag[0] -= gamma
-        t_diag[-1] -= alpha * beta / gamma
-        bands[1, :] = t_diag
-        u = np.zeros((m, 1))
-        u[0, 0] = gamma
-        u[-1, 0] = beta
-        y = solve_banded((1, 1), bands, np.hstack([b, u]), check_finite=False)
-        z = y[:, -1]
-        y = y[:, :-1]
-        denom = 1.0 + z[0] + (alpha / gamma) * z[-1]
-        if not np.isfinite(denom) or abs(denom) < 1e-300:
-            raise LinearSolverError("rank-one correction is singular")
-        factor = (y[0, :] + (alpha / gamma) * y[-1, :]) / denom
-        x = y - z[:, None] * factor[None, :]
-
-    if not np.isfinite(x).all():
-        raise LinearSolverError("solver produced non-finite values")
+    # row i couples its left neighbour by sub[i-1] (the corner at i = 0)
+    # and its right neighbour by sup[i] (the corner at i = M-1)
+    off_sum = np.abs(np.concatenate(([alpha], sub))) + np.abs(np.concatenate((sup, [beta])))
+    _check_dominance(np.abs(diag), off_sum)
+    bands = np.array([np.concatenate(([0.0], sup)), diag, np.concatenate((sub, [0.0]))])
+    work = np.vstack((b.T, np.empty(m)))
+    x = _solve_cyclic(bands, work, alpha, beta).T
     return x[:, 0] if single else x
-
-
-def _prev(a: FloatArray) -> FloatArray:
-    """a[i-1] at every i, cyclically (np.roll(a, 1, axis=0) at less overhead)."""
-    return np.concatenate((a[-1:], a[:-1]))
-
-
-def _next(a: FloatArray) -> FloatArray:
-    """a[i+1] at every i, cyclically."""
-    return np.concatenate((a[1:], a[:1]))
-
-
-def _normals(nodes: FloatArray, span: FloatArray) -> FloatArray:
-    """Discrete normals N_i = (X_{i+1} - X_{i-1})^perp / (d_i + d_{i+1})."""
-    chord = _next(nodes) - _prev(nodes)
-    return np.stack([chord[:, 1], -chord[:, 0]], axis=1) / span[:, None]
 
 
 def step(curve: CurveState, config: SolverConfig) -> CurveState:
@@ -213,43 +196,44 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     LinearSolverError when the implicit solve fails.
     """
     nodes = curve.nodes
-    d = segment_lengths(curve, config.epsilon_geom)
-    d_next = _next(d)
-    span = d + d_next
-    normal = _normals(nodes, span)
-    # the same arithmetic as discrete_curvature, so kappa and F match the
-    # diagnostics row of this state bitwise
-    tangent = (nodes - _prev(nodes)) / d[:, None]
-    curvature_vec = 2.0 * (_next(tangent) - tangent) / span[:, None]
-    kappa = -np.einsum("ij,ij->i", curvature_vec, normal)
-    force = forcing_value(config.model, kappa, span, normal)
+    m = nodes.shape[0]
+    geo = _node_geometry(nodes, config.epsilon_geom)
+    d, span, normal, kappa = geo.d, geo.span, geo.normal, geo.kappa
+    # _diagnostics_row passes the same arrays, so it records the applied F bitwise
+    force = forcing_value(config.model, kappa, span, normal.T)
 
     # tangential speed: cancel the normal motion's rate of each d_i/L and
     # relax the spacing toward L/M at the rate <kappa^2>
-    velocity = curvature_vec + force * normal
-    rate = np.einsum("ij,ij->i", velocity - _prev(velocity), tangent)
-    length = float(np.sum(d))
+    velocity = geo.curvature_vec + force * normal
+    jump = velocity - np.concatenate((velocity[:, -1:], velocity[:, :-1]), axis=1)
+    rate = jump[0] * geo.tangent[0] + jump[1] * geo.tangent[1]
+    length = curve.length
     relax = float(np.dot(kappa * kappa, span)) / (2.0 * length)
-    alpha = np.cumsum(
-        d * (float(np.sum(rate)) / length) - rate + relax * (length / d.shape[0] - d)
-    )
-    alpha -= alpha.mean()
+    drift = float(rate.sum()) / length - relax
+    alpha = np.cumsum(d * drift + relax * length / m - rate)
+    alpha -= float(alpha.sum()) / m
 
+    # row i couples X_{i-1} by lower_i, X_i by 1 + w_prev_i + w_next_i and
+    # X_{i+1} by upper_i; the centred tangential term leaves the diagonal
     tau = config.tau
-    lower = -2.0 * tau / (span * d)       # couples X_{i-1}
-    upper = -2.0 * tau / (span * d_next)  # couples X_{i+1}
-    main = 1.0 - lower - upper
-    # the centred tangential term leaves the diagonal unchanged
-    advect = tau * alpha / span
-    lower += advect
-    upper -= advect
-    rhs = nodes + (tau * force) * normal
+    weight = (2.0 * tau) / span
+    w_prev = weight / d
+    w_next = weight / geo.d_next
+    advect = (tau * alpha) / span
+    lower = advect - w_prev
+    upper = -w_next - advect
+    bands = np.empty((3, m))
+    bands[1] = 1.0 + w_prev + w_next
+    _check_dominance(bands[1], np.abs(lower) + np.abs(upper))
+    bands[0, 1:] = upper[:-1]
+    bands[2, :-1] = lower[1:]
 
-    solution = solve_cyclic_tridiagonal(
-        lower[1:], main, upper[:-1], (lower[0], upper[-1]), rhs
-    )
+    work = np.empty((3, m))
+    np.multiply(normal, tau * force, out=work[:2])
+    work[:2] += nodes.T
+    solution = _solve_cyclic(bands, work, lower[0], upper[-1])
     try:
-        return CurveState(solution)
+        return CurveState(solution.T)
     except ValueError as exc:
         raise DegenerateSegmentError(f"step produced an invalid curve: {exc}") from exc
 
@@ -257,17 +241,13 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
 def _diagnostics_row(t: float, curve: CurveState, model: FlowModel) -> DiagnosticsRow:
     # Tolerant recording path: must not raise even for near-extinct or
     # clockwise states, hence the |area| in the isoperimetric ratio.
-    nodes = curve.nodes
-    d = np.linalg.norm(nodes - np.roll(nodes, 1, axis=0), axis=1)
-    span = d + _next(d)
-    kappa = discrete_curvature(curve, d)
-    length = float(np.sum(d))
-    area = enclosed_area(curve)
+    geo = _node_geometry(curve.nodes)
+    d, length, area = geo.d, curve.length, curve.area
     return DiagnosticsRow(
         t=t,
         length=length,
         area=area,
-        forcing=forcing_value(model, kappa, span, _normals(nodes, span)),
+        forcing=forcing_value(model, geo.kappa, geo.span, geo.normal.T),
         isoperimetric_ratio=length * length / (4.0 * np.pi * abs(area)),
         uniformity_ratio=float(d.max() / d.min()),
         min_segment=float(d.min()),
@@ -312,8 +292,7 @@ def evolve(initial: CurveState, config: SolverConfig) -> Trajectory:
             return trajectory
         t = k * config.tau
 
-        gaps = np.linalg.norm(state.nodes - np.roll(state.nodes, 1, axis=0), axis=1)
-        extinct = float(np.sum(gaps)) < extinction_length
+        extinct = state.length < extinction_length
         if extinct or k % config.snapshot_every == 0 or k == n_steps:
             snapshots.append((t, state))
             diagnostics.append(_diagnostics_row(t, state, config.model))

@@ -230,6 +230,17 @@ class TestAreaAndLength:
         assert np.isclose(area, 100.0 * np.sin(np.pi / 100), rtol=1e-12)
         assert abs(area - 3.14108) < 1e-5
 
+    def test_tiny_curve_away_from_origin_keeps_its_area(self):
+        # side 2^-60 at offset 2^-10: every coordinate and difference is
+        # exact, so the shoelace about X_0 gives exactly side^2, while
+        # products of absolute coordinates cancel to 0
+        side, offset = 2.0**-60, 2.0**-10
+        square = offset + side * np.array(UNIT_SQUARE)
+        curve = load_polyline(square)
+        assert curve.orientation is Orientation.COUNTERCLOCKWISE
+        assert enclosed_area(curve) == side * side
+        assert enclosed_area(load_polyline(square[::-1])) == -side * side
+
     def test_five_fold_area_matches_quadrature(self):
         curve = build_radial_curve(5, 0.65, 200)
         oracle = polar_area(5, 0.65)

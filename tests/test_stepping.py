@@ -8,6 +8,8 @@ from curveflow import (
     CurveState,
     DegenerateSegmentError,
     FlowModel,
+    LinearSolverError,
+    Orientation,
     SolverConfig,
     TrajectoryStatus,
     build_circle,
@@ -154,6 +156,20 @@ class TestStep:
         assert errors[0] / scale <= 2e-4
         assert 5.0 <= errors[0] / errors[1] <= 20.0
 
+    def test_dominance_guard_rejects_a_huge_tangential_speed(self, monkeypatch):
+        # with F = 1e4 the tangential speed outweighs the diffusion in some
+        # rows, so the step matrix is no longer strictly dominant
+        monkeypatch.setattr(stepping, "forcing_value", lambda *args: 1e4)
+        curve = build_radial_curve(5, 0.65, 200)
+        config = SolverConfig(model=FlowModel.area_preserving(), t_final=1e-3, tau=1e-4)
+        with pytest.raises(LinearSolverError, match="not strictly diagonally dominant"):
+            step(curve, config)
+        trajectory = evolve(curve, config)
+        assert trajectory.status is TrajectoryStatus.ABORTED
+        assert "not strictly diagonally dominant" in trajectory.error
+        assert len(trajectory.snapshots) == 1
+        assert trajectory.snapshots[0][1] is curve
+
     def test_degenerate_segment_aborts(self):
         square = CurveState(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
         config = SolverConfig(
@@ -227,6 +243,19 @@ class TestEvolve:
         assert np.isfinite(last.nodes).all()
         gaps = np.linalg.norm(last.nodes - np.roll(last.nodes, 1, axis=0), axis=1)
         assert gaps.min() > 0
+
+    def test_extinct_final_state_is_counterclockwise(self):
+        # the last state of the shrinking 4-fold star spans ~4e-24 about a
+        # point ~2e-16 from the origin; its area and isoperimetric ratio are
+        # those of a small counterclockwise near-circle
+        config = SolverConfig(model=FlowModel.curve_shortening(), t_final=0.6, tau=1e-4)
+        trajectory = evolve(build_radial_curve(4, 0.4, 200), config)
+        assert trajectory.status is TrajectoryStatus.EXTINCT
+        assert trajectory.extinction_time == pytest.approx(0.5411, abs=1e-9)
+        assert trajectory.final_state.orientation is Orientation.COUNTERCLOCKWISE
+        last = trajectory.diagnostics[-1]
+        assert last.area > 0.0
+        assert last.isoperimetric_ratio >= 1.0
 
     def test_length_decreases_under_curve_shortening_convex(self):
         # recorded at every single step
