@@ -17,6 +17,7 @@ unexpected failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +42,6 @@ from .geometry import (
 from .stepping import (
     DiagnosticsRow,
     SolverConfig,
-    Trajectory,
     TrajectoryStatus,
     evolve,
 )
@@ -62,11 +62,16 @@ _VARIANT_KEYS = {
     "polyline": {"polyline_path"},
 }
 
-SUMMARY_HEADER = "t,length,area,F,isoperimetric_ratio,uniformity_ratio"
+#: one column per DiagnosticsRow field, in field order
+SUMMARY_HEADER = "t,length,area,F,isoperimetric_ratio,uniformity_ratio,min_segment"
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+#: one 'i x y kappa' snapshot row, with _fmt's 17 significant digits
+_SNAPSHOT_ROW = "%d %.17g %.17g %.17g\n"
 
 
 @dataclass
@@ -261,48 +266,28 @@ def build_initial_curve(spec: RunSpec, base_dir: Path | None = None) -> CurveSta
 
 def write_snapshot(t: float, curve: CurveState, kappa, path: str | Path) -> None:
     """Write one plot-ready snapshot: header line, then 'i x y kappa' rows."""
-    nodes = curve.nodes
-    lines = [f"# t={_fmt(t)} M={curve.node_count}"]
-    for i in range(curve.node_count):
-        lines.append(
-            f"{i + 1} {_fmt(nodes[i, 0])} {_fmt(nodes[i, 1])} {_fmt(kappa[i])}"
-        )
+    # Python floats format faster than numpy scalars, to the same text; rows
+    # stream to the file one at a time, so no whole-file string is built
+    x, y = curve.nodes.T.tolist()
+    rows = zip(range(1, curve.node_count + 1), x, y, np.asarray(kappa).tolist())
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w") as out:
+            out.write(f"# t={_fmt(t)} M={curve.node_count}\n")
+            out.writelines(map(_SNAPSHOT_ROW.__mod__, rows))
     except OSError as exc:
         raise CurveFlowError(f"cannot write snapshot {path}: {exc}") from exc
 
 
+def _summary_line(row: DiagnosticsRow) -> str:
+    return ",".join(map(_fmt, row)) + "\n"
+
+
 def write_summary(rows: list[DiagnosticsRow], path: str | Path) -> None:
     """Write summary.csv with the fixed column order."""
-    lines = [SUMMARY_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.t,
-                    row.length,
-                    row.area,
-                    row.forcing,
-                    row.isoperimetric_ratio,
-                    row.uniformity_ratio,
-                )
-            )
-        )
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(SUMMARY_HEADER + "\n" + "".join(map(_summary_line, rows)))
     except OSError as exc:
         raise CurveFlowError(f"cannot write summary {path}: {exc}") from exc
-
-
-def _write_trajectory(trajectory: Trajectory, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for index, (t, state) in enumerate(trajectory.snapshots):
-        # no degeneracy threshold: the last state of an extinct run is recorded too
-        kappa = discrete_curvature(state, segment_lengths(state, 0.0))
-        write_snapshot(t, state, kappa, out_dir / f"snapshot_{index:06d}.dat")
-    write_summary(trajectory.diagnostics, out_dir / "summary.csv")
 
 
 def _cmd_run(args) -> int:
@@ -320,8 +305,32 @@ def _cmd_run(args) -> int:
         tau=spec.tau,
         snapshot_every=spec.snapshot_every,
     )
-    trajectory = evolve(initial, config)
-    _write_trajectory(trajectory, Path(spec.out_dir))
+    out_dir = Path(spec.out_dir)
+    summary_path = out_dir / "summary.csv"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CurveFlowError(f"cannot create output directory {out_dir}: {exc}") from exc
+    try:
+        summary = open(summary_path, "w")
+    except OSError as exc:
+        raise CurveFlowError(f"cannot write summary {summary_path}: {exc}") from exc
+    snapshot_paths = (out_dir / f"snapshot_{index:06d}.dat" for index in itertools.count())
+
+    def write_record(t: float, state: CurveState, row: DiagnosticsRow) -> None:
+        # no degeneracy threshold: the last state of an extinct run is recorded too
+        kappa = discrete_curvature(state, segment_lengths(state, 0.0))
+        write_snapshot(t, state, kappa, next(snapshot_paths))
+        # a summary line follows its snapshot, so every line on disk has its file
+        try:
+            summary.write(_summary_line(row))
+            summary.flush()
+        except OSError as exc:
+            raise CurveFlowError(f"cannot write summary {summary_path}: {exc}") from exc
+
+    with summary:
+        summary.write(SUMMARY_HEADER + "\n")
+        trajectory = evolve(initial, config, on_record=write_record)
     last = trajectory.diagnostics[-1]
     print(
         f"status={trajectory.status.value} t={_fmt(last.t)} length={_fmt(last.length)} "

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -254,7 +254,11 @@ def _diagnostics_row(t: float, curve: CurveState, model: FlowModel) -> Diagnosti
     )
 
 
-def evolve(initial: CurveState, config: SolverConfig) -> Trajectory:
+def evolve(
+    initial: CurveState,
+    config: SolverConfig,
+    on_record: Callable[[float, CurveState, DiagnosticsRow], None] | None = None,
+) -> Trajectory:
     """Run the time loop from t=0 until t >= t_final (overshooting if needed).
 
     Snapshots and diagnostics are recorded at t=0, every
@@ -262,14 +266,27 @@ def evolve(initial: CurveState, config: SolverConfig) -> Trajectory:
     total length falls below 100*epsilon_geom terminates cleanly as
     ``EXTINCT`` with the extinction time; degenerate-segment and
     linear-solver failures abort the run, keeping the last valid state as
-    the final snapshot.
+    the final snapshot and naming the failed step and its time in
+    ``Trajectory.error``.
+
+    ``on_record(t, state, row)``, if given, is called as each record is
+    made, in order, with the objects the returned trajectory holds, so a
+    caller can stream the records out while the run goes on.
     """
-    snapshots = [(0.0, initial)]
-    diagnostics = [_diagnostics_row(0.0, initial, config.model)]
+    snapshots: list[tuple[float, CurveState]] = []
+    diagnostics: list[DiagnosticsRow] = []
     trajectory = Trajectory(snapshots, diagnostics)
 
+    def record(t: float, state: CurveState) -> None:
+        row = _diagnostics_row(t, state, config.model)
+        snapshots.append((t, state))
+        diagnostics.append(row)
+        if on_record is not None:
+            on_record(t, state, row)
+
+    record(0.0, initial)
     extinction_length = EXTINCTION_LENGTH_FACTOR * config.epsilon_geom
-    if diagnostics[0].length < extinction_length:
+    if initial.length < extinction_length:
         trajectory.status = TrajectoryStatus.EXTINCT
         trajectory.extinction_time = 0.0
         return trajectory
@@ -280,22 +297,19 @@ def evolve(initial: CurveState, config: SolverConfig) -> Trajectory:
     state = initial
     recorded_step = 0
     for k in range(1, n_steps + 1):
+        t = k * config.tau
         try:
             state = step(state, config)
         except (DegenerateSegmentError, LinearSolverError) as exc:
             trajectory.status = TrajectoryStatus.ABORTED
-            trajectory.error = str(exc)
+            trajectory.error = f"step {k} (t={t!r}): {exc}"
             if recorded_step != k - 1:  # keep the last valid state on record
-                t_prev = (k - 1) * config.tau
-                snapshots.append((t_prev, state))
-                diagnostics.append(_diagnostics_row(t_prev, state, config.model))
+                record((k - 1) * config.tau, state)
             return trajectory
-        t = k * config.tau
 
         extinct = state.length < extinction_length
         if extinct or k % config.snapshot_every == 0 or k == n_steps:
-            snapshots.append((t, state))
-            diagnostics.append(_diagnostics_row(t, state, config.model))
+            record(t, state)
             recorded_step = k
         if extinct:
             trajectory.status = TrajectoryStatus.EXTINCT

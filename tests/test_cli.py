@@ -1,16 +1,22 @@
 """Config parsing, snapshot/summary formats, and CLI end-to-end runs."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from curveflow import (
     ConfigError,
+    CurveState,
     FlowLaw,
+    build_circle,
     build_radial_curve,
     compute_geometry,
     enclosed_area,
     load_polyline,
+    segment_lengths,
+    stepping,
 )
 from curveflow.cli import (
     SUMMARY_HEADER,
@@ -97,7 +103,38 @@ class TestParseConfig:
         assert spec.curve == "circle"
 
 
+def _per_row_snapshot(t, curve, kappa):
+    """The snapshot text formatted one numpy scalar at a time (the reference)."""
+    nodes = curve.nodes
+    lines = [f"# t={t:.17g} M={curve.node_count}"]
+    for i in range(curve.node_count):
+        lines.append(f"{i + 1} {nodes[i, 0]:.17g} {nodes[i, 1]:.17g} {kappa[i]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _awkward_snapshot(node_count):
+    if node_count == 4:
+        nodes = np.array([(-0.0, -0.0), (1e300, 5e-324), (1e300, 0.1), (3.0, 2.0)])
+    else:
+        # a circle scaled node by node over 200 decades (the shoelace must
+        # not overflow), with a few exact values
+        rng = np.random.default_rng(5)
+        nodes = build_circle(1.0, node_count).nodes * 10.0 ** rng.uniform(-100, 100, (node_count, 1))
+        nodes[:4] = [(-0.0, 1.0), (5e-324, 2.0), (0.1, -0.0), (7.0, 1e200)]
+    kappa = np.random.default_rng(6).normal(size=node_count)
+    kappa[:4] = [np.inf, -np.inf, np.nan, -0.0]
+    return CurveState(nodes), kappa
+
+
 class TestSnapshotFormat:
+    @pytest.mark.parametrize("node_count", [4, 1000])
+    def test_matches_the_per_row_formula(self, tmp_path, node_count):
+        curve, kappa = _awkward_snapshot(node_count)
+        path = tmp_path / "awkward.dat"
+        for t in (0.0, 3 * 1e-4, 0.1):
+            write_snapshot(t, curve, kappa, path)
+            assert path.read_bytes() == _per_row_snapshot(t, curve, kappa).encode()
+
     def test_unit_square_rows(self, tmp_path):
         square = load_polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         geo = compute_geometry(square)
@@ -195,6 +232,17 @@ class TestRunCommand:
             rows = np.loadtxt(out / f"snapshot_{index:06d}.dat")
             assert enclosed_area(load_polyline(rows[:, 1:3])) == area_column
 
+    def test_min_segment_column_is_the_smallest_segment(self, run_dir):
+        config = _write(run_dir / "run.conf", self.CONFIG.format(out="out-a"))
+        assert run_cli(["run", config]) == 0
+        out = run_dir / "out-a"
+        header, *summary = (out / "summary.csv").read_text().splitlines()
+        assert header.split(",")[-1] == "min_segment"
+        for index, line in enumerate(summary):
+            rows = np.loadtxt(out / f"snapshot_{index:06d}.dat")
+            d = segment_lengths(load_polyline(rows[:, 1:3]), 0.0)
+            assert float(line.split(",")[-1]) == d.min()
+
     def test_polyline_input_resolves_relative_to_config(self, run_dir):
         (run_dir / "sub").mkdir()
         square = "0 0\n1 0\n1 1\n0 1\n"
@@ -227,6 +275,35 @@ class TestRunCommand:
         )
         assert run_cli(["run", config]) == 2
         assert "aborted" in capsys.readouterr().err
+        out = run_dir / "out-p"
+        assert sorted(p.name for p in out.iterdir()) == ["snapshot_000000.dat", "summary.csv"]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[0] == SUMMARY_HEADER
+        assert len(summary) == 2
+
+    def test_interrupted_run_keeps_its_records(self, run_dir, monkeypatch):
+        # records at steps 0, 5 and 10; step 12 is interrupted
+        inner, calls = stepping.step, itertools.count(1)
+
+        def interrupted_at_12(curve, config):
+            if next(calls) == 12:
+                raise KeyboardInterrupt
+            return inner(curve, config)
+
+        monkeypatch.setattr(stepping, "step", interrupted_at_12)
+        config = _write(run_dir / "run.conf", self.CONFIG.format(out="out-i"))
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["run", config])
+        out = run_dir / "out-i"
+        snapshots = sorted(p.name for p in out.glob("snapshot_*.dat"))
+        assert snapshots == [f"snapshot_{i:06d}.dat" for i in range(3)]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[0] == SUMMARY_HEADER
+        assert len(summary) == 4
+        for index, line in enumerate(summary[1:]):
+            rows = np.loadtxt(out / f"snapshot_{index:06d}.dat")
+            assert rows.shape == (64, 4)
+            assert enclosed_area(load_polyline(rows[:, 1:3])) == float(line.split(",")[2])
 
     @pytest.mark.parametrize(
         "text",

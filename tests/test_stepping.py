@@ -1,6 +1,8 @@
 """Time-stepper tests: closed forms on the regular polygon plus a dense
 backward-Euler oracle assembled independently in the test."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,18 @@ from curveflow import (
     stepping,
 )
 from support import check_bitwise_equivalence
+
+
+def failing_at_step(k):
+    """``step`` that raises DegenerateSegmentError on its k-th call."""
+    calls = itertools.count(1)
+
+    def failing(curve, config):
+        if next(calls) == k:
+            raise DegenerateSegmentError("injected")
+        return step(curve, config)
+
+    return failing
 
 
 def oracle_force_and_tangential_speed(nodes, model):
@@ -227,6 +241,7 @@ class TestEvolve:
         trajectory = evolve(pinched, config)
         assert trajectory.status is TrajectoryStatus.ABORTED
         assert "segment" in trajectory.error
+        assert trajectory.error.startswith("step 1 (t=0.0001): ")
         assert len(trajectory.snapshots) == 1
 
     def test_mid_run_abort_records_last_valid_state(self):
@@ -282,6 +297,53 @@ class TestEvolve:
         rows = evolve(build_radial_curve(5, 0.65, 200), config).diagnostics
         assert len(applied) == 3
         assert rows[0].forcing == applied[1]
+
+    @pytest.mark.parametrize("case", ["completed", "extinct", "aborted", "aborted_mid_run"])
+    def test_on_record_sees_every_record_in_order(self, case, monkeypatch):
+        curve, config, status = {
+            "completed": (
+                build_circle(1.0, 64),
+                SolverConfig(FlowModel.area_preserving(), t_final=0.01, tau=1e-3, snapshot_every=3),
+                TrajectoryStatus.COMPLETED,
+            ),
+            "extinct": (
+                build_circle(0.1, 64),
+                SolverConfig(FlowModel.curve_shortening(), t_final=0.02, tau=1e-5, snapshot_every=100),
+                TrajectoryStatus.EXTINCT,
+            ),
+            "aborted": (
+                CurveState(np.array([(0.0, 0.0), (5e-13, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])),
+                SolverConfig(FlowModel.curve_shortening(), t_final=0.01, tau=1e-4),
+                TrajectoryStatus.ABORTED,
+            ),
+            # records at steps 0 and 5, step 7 fails, so step 6 is kept on record
+            "aborted_mid_run": (
+                build_radial_curve(5, 0.65, 100),
+                SolverConfig(FlowModel.area_preserving(), t_final=0.01, tau=1e-4, snapshot_every=5),
+                TrajectoryStatus.ABORTED,
+            ),
+        }[case]
+        seen = []
+        runs = []
+        for on_record in (None, lambda *record: seen.append(record)):
+            if case == "aborted_mid_run":
+                monkeypatch.setattr(stepping, "step", failing_at_step(7))
+            runs.append(evolve(curve, config, on_record=on_record))
+        plain, trajectory = runs
+
+        assert trajectory.status is status
+        assert len(seen) == len(trajectory.snapshots) == len(trajectory.diagnostics)
+        for (t, state, row), (t_kept, state_kept), row_kept in zip(
+            seen, trajectory.snapshots, trajectory.diagnostics
+        ):
+            assert t == t_kept == row.t
+            assert state is state_kept
+            assert row == row_kept
+        assert plain.final_state.nodes.tobytes() == trajectory.final_state.nodes.tobytes()
+        assert np.array(plain.diagnostics).tobytes() == np.array(trajectory.diagnostics).tobytes()
+        if case == "aborted_mid_run":
+            assert trajectory.times == pytest.approx([0.0, 5e-4, 6e-4])
+            assert trajectory.error == "step 7 (t=0.0007): injected"
 
     def test_csf_equals_zero_force_bitwise(self):
         check_bitwise_equivalence()
