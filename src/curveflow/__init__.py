@@ -10,33 +10,15 @@ a circle.
 from .errors import ConfigError, CurveFlowError, DegenerateSegmentError, LinearSolverError
 from .flows import FlowLaw, FlowModel, forcing_value, nonlocal_force
 from .geometry import (
-    EPSILON_GEOM,
     CurveState,
-    GeometryCache,
-    Orientation,
-    ShapeDiagnostics,
     build_circle,
     build_radial_curve,
-    compute_geometry,
-    curve_length,
     discrete_curvature,
-    dual_lengths,
-    enclosed_area,
-    load_polyline,
     read_polyline,
     segment_lengths,
-    shape_diagnostics,
     write_polyline,
 )
-from .analysis import (
-    CircleOracle,
-    StudyRecord,
-    StudyReport,
-    circle_radius,
-    convergence_study,
-    nonconvex_fixture,
-    run_reference_studies,
-)
+from .analysis import CircleOracle, circle_radius, convergence_study, run_reference_studies
 from .stepping import (
     DiagnosticsRow,
     SolverConfig,
@@ -56,36 +38,23 @@ __all__ = [
     "CurveState",
     "DegenerateSegmentError",
     "DiagnosticsRow",
-    "EPSILON_GEOM",
     "FlowLaw",
     "FlowModel",
-    "GeometryCache",
     "LinearSolverError",
-    "Orientation",
-    "ShapeDiagnostics",
     "SolverConfig",
-    "StudyRecord",
-    "StudyReport",
     "Trajectory",
     "TrajectoryStatus",
     "build_circle",
     "build_radial_curve",
     "circle_radius",
-    "compute_geometry",
     "convergence_study",
-    "curve_length",
     "discrete_curvature",
-    "dual_lengths",
-    "enclosed_area",
     "evolve",
     "forcing_value",
-    "load_polyline",
-    "nonconvex_fixture",
     "nonlocal_force",
     "read_polyline",
     "run_reference_studies",
     "segment_lengths",
-    "shape_diagnostics",
     "solve_cyclic_tridiagonal",
     "step",
     "write_polyline",

@@ -102,8 +102,6 @@ class StudyRecord:
     """Outcome of one evolution run, with the scalars the studies report on."""
 
     name: str
-    curve_spec: str
-    model: FlowModel
     node_count: int
     tau: float
     t_final: float
@@ -114,9 +112,7 @@ class StudyRecord:
     final_isoperimetric_ratio: float
     extinction_time: float | None
     max_uniformity_ratio: float
-    uniformity_history: list[tuple[float, float]]
     elapsed_seconds: float
-    error: str | None
     trajectory: Trajectory = field(repr=False)
 
 
@@ -134,18 +130,13 @@ def nonconvex_fixture() -> CurveState:
         return read_polyline(path)
 
 
-def _run_study(
-    name: str, curve_spec: str, curve: CurveState, config: SolverConfig
-) -> StudyRecord:
+def _run_study(name: str, curve: CurveState, config: SolverConfig) -> StudyRecord:
     started = time.perf_counter()
     trajectory = evolve(curve, config)
     elapsed = time.perf_counter() - started
     rows = trajectory.diagnostics
-    uniformity = [(row.t, row.uniformity_ratio) for row in rows]
     return StudyRecord(
         name=name,
-        curve_spec=curve_spec,
-        model=config.model,
         node_count=curve.node_count,
         tau=config.tau,
         t_final=config.t_final,
@@ -155,10 +146,8 @@ def _run_study(
         area_drift=abs(rows[-1].area - rows[0].area) / abs(rows[0].area),
         final_isoperimetric_ratio=rows[-1].isoperimetric_ratio,
         extinction_time=trajectory.extinction_time,
-        max_uniformity_ratio=max(r for _, r in uniformity),
-        uniformity_history=uniformity,
+        max_uniformity_ratio=max(row.uniformity_ratio for row in rows),
         elapsed_seconds=elapsed,
-        error=trajectory.error,
         trajectory=trajectory,
     )
 
@@ -169,25 +158,22 @@ def run_reference_studies(node_count: int = 200, tau: float = 1e-4) -> StudyRepo
     Three radial initial curves (a shrinking 4-fold star under curve
     shortening, run until its extinction; 5-fold and 10-fold stars under
     the conserved flow over [0, 0.5]) plus the nonconvex polyline fixture
-    under the conserved flow over [0, 1.25].  A failed run is recorded with
-    its error instead of aborting the report.
+    under the conserved flow over [0, 1.25].  A failed run is recorded,
+    with its error in ``trajectory.error``, instead of aborting the report.
     """
     csf = FlowModel.curve_shortening()
     conserved = FlowModel.area_preserving()
     studies = [
-        ("shrinking-4fold", "radial folds=4 amplitude=0.4",
-         build_radial_curve(4, 0.4, node_count), SolverConfig(csf, t_final=0.6, tau=tau)),
-        ("conserved-5fold", "radial folds=5 amplitude=0.65",
-         build_radial_curve(5, 0.65, node_count), SolverConfig(conserved, t_final=0.5, tau=tau)),
-        ("conserved-10fold", "radial folds=10 amplitude=0.45",
-         build_radial_curve(10, 0.45, node_count), SolverConfig(conserved, t_final=0.5, tau=tau)),
-        ("conserved-polyline", "bundled nonconvex fixture",
-         nonconvex_fixture(), SolverConfig(conserved, t_final=1.25, tau=tau)),
+        ("shrinking-4fold", build_radial_curve(4, 0.4, node_count),
+         SolverConfig(csf, t_final=0.6, tau=tau)),
+        ("conserved-5fold", build_radial_curve(5, 0.65, node_count),
+         SolverConfig(conserved, t_final=0.5, tau=tau)),
+        ("conserved-10fold", build_radial_curve(10, 0.45, node_count),
+         SolverConfig(conserved, t_final=0.5, tau=tau)),
+        ("conserved-polyline", nonconvex_fixture(),
+         SolverConfig(conserved, t_final=1.25, tau=tau)),
     ]
-    records = [
-        _run_study(name, spec, curve, config) for name, spec, curve, config in studies
-    ]
-    return StudyReport(records=records)
+    return StudyReport(records=[_run_study(*study) for study in studies])
 
 
 def _fit_order(x: list[float], err: list[float]) -> float:
@@ -223,9 +209,7 @@ def convergence_study(
     for k in range(levels):
         tau = base_tau / 2**k
         config = SolverConfig(csf, t_final=1.0, tau=tau, snapshot_every=2000)
-        record = _run_study(
-            f"circle-extinction-tau-{tau:g}", "circle radius=1", build_circle(1.0, 200), config
-        )
+        record = _run_study(f"circle-extinction-tau-{tau:g}", build_circle(1.0, 200), config)
         records.append(record)
         if record.extinction_time is not None:
             extinction_errors.append((tau, abs(record.extinction_time - 0.5)))

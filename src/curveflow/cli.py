@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +30,13 @@ from .analysis import (
     run_reference_studies,
 )
 from .errors import ConfigError, CurveFlowError
-from .flows import FlowModel
+from .flows import FlowLaw, FlowModel
 from .geometry import (
     CurveState,
     build_circle,
     build_radial_curve,
     discrete_curvature,
     read_polyline,
-    segment_lengths,
 )
 from .stepping import (
     DiagnosticsRow,
@@ -46,21 +45,22 @@ from .stepping import (
     evolve,
 )
 
-_CURVE_KINDS = ("radial", "circle", "polyline")
-_MODEL_KINDS = ("csf", "constant", "area_preserving")
 _KNOWN_KEYS = frozenset(
     {
         "curve", "folds", "amplitude", "radius", "polyline_path",
         "model", "force", "nodes", "tau", "t_final", "snapshot_every", "out_dir",
     }
 )
-#: keys tied to one initial-curve variant; any of them with a different
-#: ``curve`` value is a configuration error.
+#: the ``curve`` values and the keys tied to each; any of those keys with
+#: a different ``curve`` value is a configuration error.
 _VARIANT_KEYS = {
     "radial": {"folds", "amplitude"},
     "circle": {"radius"},
     "polyline": {"polyline_path"},
 }
+
+#: constructor parameters whose config key has another name
+_PARAMETER_KEYS = {"node_count": "nodes"}
 
 #: one column per DiagnosticsRow field, in field order
 SUMMARY_HEADER = "t,length,area,F,isoperimetric_ratio,uniformity_ratio,min_segment"
@@ -79,16 +79,15 @@ class RunSpec:
     """Validated contents of a run config file."""
 
     curve: str
-    model: FlowModel
-    t_final: float
+    config: SolverConfig
     folds: int | None = None
     amplitude: float | None = None
     radius: float = 1.0
     polyline_path: str | None = None
     nodes: int = 200
-    tau: float = 1e-4
-    snapshot_every: int = 100
     out_dir: str = "out"
+    #: the built radial or circle curve; build_initial_curve reads a polyline
+    initial: CurveState | None = field(default=None, repr=False)
 
 
 class _ConfigValues:
@@ -133,8 +132,8 @@ def parse_config(text: str) -> RunSpec:
 
     One assignment per line; '#' starts a comment; unknown and duplicate
     keys are hard errors.  Raises ConfigError carrying the offending line
-    number for parse errors, or naming the violated invariant for
-    validation errors.
+    number (None for a missing key); a validation error names the violated
+    invariant, e.g. ``tau > 0``.
     """
     values = _ConfigValues()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -156,12 +155,25 @@ def _require(values: _ConfigValues, key: str) -> None:
         raise ConfigError(f"missing required key {key!r}")
 
 
+def _construct(values: _ConfigValues, build, *args, **kwargs):
+    """Call a validating constructor.  Its ValueError, whose message starts
+    with the violated parameter, becomes a ConfigError on that key's line."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        message = str(exc)
+        name = message.split()[0].strip("|")
+        key = _PARAMETER_KEYS.get(name, name)
+        line = values.line(key) if key in values else None
+        raise ConfigError(message.replace(name, key, 1), line) from None
+
+
 def _build_run_spec(values: _ConfigValues) -> RunSpec:
     _require(values, "curve")
     curve = values.raw("curve")
-    if curve not in _CURVE_KINDS:
+    if curve not in _VARIANT_KEYS:
         raise ConfigError(
-            f"curve must be one of {'|'.join(_CURVE_KINDS)}, got {curve!r}",
+            f"curve must be one of {'|'.join(_VARIANT_KEYS)}, got {curve!r}",
             values.line("curve"),
         )
     for kind, keys in _VARIANT_KEYS.items():
@@ -175,47 +187,29 @@ def _build_run_spec(values: _ConfigValues) -> RunSpec:
             )
 
     _require(values, "model")
-    model_kind = values.raw("model")
-    if model_kind not in _MODEL_KINDS:
+    model_kind, laws = values.raw("model"), [law.value for law in FlowLaw]
+    if model_kind not in laws:
         raise ConfigError(
-            f"model must be one of {'|'.join(_MODEL_KINDS)}, got {model_kind!r}",
-            values.line("model"),
+            f"model must be one of {'|'.join(laws)}, got {model_kind!r}", values.line("model")
         )
-    if model_kind == "constant":
+    law = FlowLaw(model_kind)
+    if law is FlowLaw.CONSTANT_FORCE:
         _require(values, "force")
-        force = values.as_float("force")
-        if not np.isfinite(force):
-            raise ConfigError("force must be finite", values.line("force"))
-        model = FlowModel.constant_force(force)
-    else:
-        if "force" in values:
-            raise ConfigError(
-                "force only applies to model = constant", values.line("force")
-            )
-        model = (
-            FlowModel.curve_shortening()
-            if model_kind == "csf"
-            else FlowModel.area_preserving()
-        )
+    elif "force" in values:
+        raise ConfigError("force only applies to model = constant", values.line("force"))
+    force = values.as_float("force") if "force" in values else 0.0
+    model = _construct(values, FlowModel, law, force)
 
     _require(values, "t_final")
-    spec = RunSpec(curve=curve, model=model, t_final=values.as_float("t_final"))
+    options = {}
+    if "tau" in values:
+        options["tau"] = values.as_float("tau")
+    if "snapshot_every" in values:
+        options["snapshot_every"] = values.as_int("snapshot_every")
+    config = _construct(values, SolverConfig, model, values.as_float("t_final"), **options)
+    spec = RunSpec(curve=curve, config=config)
 
-    if curve == "radial":
-        _require(values, "folds")
-        _require(values, "amplitude")
-        spec.folds = values.as_int("folds")
-        spec.amplitude = values.as_float("amplitude")
-        if spec.folds < 1:
-            raise ConfigError("folds >= 1", values.line("folds"))
-        if not abs(spec.amplitude) < 1:
-            raise ConfigError("|amplitude| < 1", values.line("amplitude"))
-    elif curve == "circle":
-        if "radius" in values:
-            spec.radius = values.as_float("radius")
-            if not (np.isfinite(spec.radius) and spec.radius > 0):
-                raise ConfigError("radius > 0", values.line("radius"))
-    else:
+    if curve == "polyline":
         _require(values, "polyline_path")
         spec.polyline_path = values.raw("polyline_path")
         if "nodes" in values:
@@ -223,21 +217,21 @@ def _build_run_spec(values: _ConfigValues) -> RunSpec:
                 "nodes does not apply to curve = polyline (the file sets the node count)",
                 values.line("nodes"),
             )
-
-    if "nodes" in values:
-        spec.nodes = values.as_int("nodes")
-        if spec.nodes < 4:
-            raise ConfigError("nodes >= 4", values.line("nodes"))
-    if "tau" in values:
-        spec.tau = values.as_float("tau")
-        if not (np.isfinite(spec.tau) and spec.tau > 0):
-            raise ConfigError("tau > 0", values.line("tau"))
-    if not (np.isfinite(spec.t_final) and spec.t_final >= 0):
-        raise ConfigError("t_final >= 0", values.line("t_final"))
-    if "snapshot_every" in values:
-        spec.snapshot_every = values.as_int("snapshot_every")
-        if spec.snapshot_every < 1:
-            raise ConfigError("snapshot_every >= 1", values.line("snapshot_every"))
+    else:
+        if "nodes" in values:
+            spec.nodes = values.as_int("nodes")
+        if curve == "radial":
+            _require(values, "folds")
+            _require(values, "amplitude")
+            spec.folds = values.as_int("folds")
+            spec.amplitude = values.as_float("amplitude")
+            spec.initial = _construct(
+                values, build_radial_curve, spec.folds, spec.amplitude, spec.nodes
+            )
+        else:
+            if "radius" in values:
+                spec.radius = values.as_float("radius")
+            spec.initial = _construct(values, build_circle, spec.radius, spec.nodes)
     if "out_dir" in values:
         spec.out_dir = values.raw("out_dir")
     return spec
@@ -249,10 +243,8 @@ def build_initial_curve(spec: RunSpec, base_dir: Path | None = None) -> CurveSta
     Relative polyline paths resolve against ``base_dir`` (the config file's
     directory when invoked through the CLI).
     """
-    if spec.curve == "radial":
-        return build_radial_curve(spec.folds, spec.amplitude, spec.nodes)
-    if spec.curve == "circle":
-        return build_circle(spec.radius, spec.nodes)
+    if spec.initial is not None:
+        return spec.initial
     path = Path(spec.polyline_path)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
@@ -299,18 +291,16 @@ def _cmd_run(args) -> int:
         return 1
     spec = parse_config(text)
     initial = build_initial_curve(spec, config_path.parent)
-    config = SolverConfig(
-        model=spec.model,
-        t_final=spec.t_final,
-        tau=spec.tau,
-        snapshot_every=spec.snapshot_every,
-    )
     out_dir = Path(spec.out_dir)
     summary_path = out_dir / "summary.csv"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # a longer run's snapshots would outlive this summary; glob() costs ~0.2 ms more
+        for stale in out_dir.iterdir():
+            if stale.name.startswith("snapshot_") and stale.suffix == ".dat":
+                stale.unlink()
     except OSError as exc:
-        raise CurveFlowError(f"cannot create output directory {out_dir}: {exc}") from exc
+        raise CurveFlowError(f"cannot prepare output directory {out_dir}: {exc}") from exc
     try:
         summary = open(summary_path, "w")
     except OSError as exc:
@@ -318,9 +308,7 @@ def _cmd_run(args) -> int:
     snapshot_paths = (out_dir / f"snapshot_{index:06d}.dat" for index in itertools.count())
 
     def write_record(t: float, state: CurveState, row: DiagnosticsRow) -> None:
-        # no degeneracy threshold: the last state of an extinct run is recorded too
-        kappa = discrete_curvature(state, segment_lengths(state, 0.0))
-        write_snapshot(t, state, kappa, next(snapshot_paths))
+        write_snapshot(t, state, discrete_curvature(state), next(snapshot_paths))
         # a summary line follows its snapshot, so every line on disk has its file
         try:
             summary.write(_summary_line(row))
@@ -330,7 +318,7 @@ def _cmd_run(args) -> int:
 
     with summary:
         summary.write(SUMMARY_HEADER + "\n")
-        trajectory = evolve(initial, config, on_record=write_record)
+        trajectory = evolve(initial, spec.config, on_record=write_record)
     last = trajectory.diagnostics[-1]
     print(
         f"status={trajectory.status.value} t={_fmt(last.t)} length={_fmt(last.length)} "

@@ -2,9 +2,10 @@
 
 A curve is an ordered closed polygon of M nodes with periodic indexing
 (X_0 := X_M, X_{M+1} := X_1).  This module computes the per-node quantities
-the flow solver is built on: segment lengths d_i = |X_i - X_{i-1}|, dual
-lengths (d_i + d_{i+1})/2, discrete curvature, total length, enclosed area,
-and scalar shape diagnostics.
+the flow solver is built on: segment lengths d_i = |X_i - X_{i-1}|, spans
+d_i + d_{i+1}, unit tangents, normals, the curvature vector and the
+discrete curvature.  A validated ``CurveState`` carries its total length
+and signed enclosed area.
 
 Sign conventions (fixed once, used everywhere):
 
@@ -18,13 +19,13 @@ Sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import NDArray
 
 from .errors import DegenerateSegmentError
 
@@ -32,17 +33,6 @@ FloatArray = NDArray[np.float64]
 
 #: Hard lower bound on segment lengths; the flow equations divide by d_i.
 EPSILON_GEOM = 1e-12
-
-
-class Orientation(Enum):
-    COUNTERCLOCKWISE = "counterclockwise"
-    CLOCKWISE = "clockwise"
-
-
-def _frozen_array(values: ArrayLike) -> FloatArray:
-    arr = np.array(values, dtype=np.float64, order="C")
-    arr.flags.writeable = False
-    return arr
 
 
 def _shoelace(prev: FloatArray, edge: FloatArray) -> float:
@@ -59,16 +49,17 @@ class CurveState:
     Node k connects to nodes (k-1) % M and (k+1) % M.  Consecutive nodes
     must be distinct and the polygon must have nonzero signed area (so an
     orientation is defined).  Validation also yields the total ``length``
-    and the signed shoelace ``area`` (positive iff counterclockwise).
+    and the signed shoelace ``area``, positive iff the nodes run
+    counterclockwise.
     """
 
     nodes: FloatArray
-    orientation: Orientation = None  # type: ignore[assignment]  # derived
     length: float = field(init=False, repr=False)
     area: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = _frozen_array(self.nodes)
+        nodes = np.array(self.nodes, dtype=np.float64, order="C")
+        nodes.flags.writeable = False
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("nodes must have shape (M, 2)")
         if nodes.shape[0] < 4:
@@ -83,35 +74,13 @@ class CurveState:
         area = _shoelace(prev - nodes[0], edge)
         if area == 0.0:
             raise ValueError("curve has zero signed area; orientation undefined")
-        orientation = Orientation.COUNTERCLOCKWISE if area > 0.0 else Orientation.CLOCKWISE
-        fields = dict(nodes=nodes, length=float(gaps.sum()), area=area, orientation=orientation)
+        fields = dict(nodes=nodes, length=float(gaps.sum()), area=area)
         for name, value in fields.items():  # frozen: past the dataclass __setattr__
             object.__setattr__(self, name, value)
 
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
-
-
-@dataclass(frozen=True)
-class GeometryCache:
-    """All per-node geometric quantities of a curve, computed in one pass.
-
-    ``d[k]`` is the length of the segment entering node k, ``dual[k]`` the
-    dual length (d_k + d_{k+1})/2 of the finite volume around node k.
-    """
-
-    d: FloatArray
-    dual: FloatArray
-    kappa: FloatArray
-    total_length: float
-    area: float
-
-
-@dataclass(frozen=True)
-class ShapeDiagnostics:
-    isoperimetric_ratio: float
-    uniformity_ratio: float
 
 
 def build_radial_curve(folds: int, amplitude: float, node_count: int) -> CurveState:
@@ -121,15 +90,16 @@ def build_radial_curve(folds: int, amplitude: float, node_count: int) -> CurveSt
     r(u)*(cos 2*pi*u, sin 2*pi*u).  amplitude = 0 yields the regular
     polygon inscribed in the unit circle.
 
-    Raises ValueError for |amplitude| >= 1 (the radius could vanish),
-    folds < 1 or node_count < 4.
+    Raises ValueError for |amplitude| >= 1 (the radius could vanish), a
+    folds that is not an integer >= 1 (the curve would not close) or
+    node_count < 4.  Each message starts with the violated parameter.
     """
     if node_count < 4:
-        raise ValueError("node_count must be >= 4")
-    if not folds >= 1:
-        raise ValueError("folds must be a positive integer")
+        raise ValueError("node_count >= 4")
+    if isinstance(folds, bool) or not isinstance(folds, numbers.Integral) or folds < 1:
+        raise ValueError("folds >= 1 and integral")
     if not abs(amplitude) < 1:
-        raise ValueError("|amplitude| must be < 1")
+        raise ValueError("|amplitude| < 1")
     u = np.arange(node_count, dtype=np.float64) / node_count
     r = 1.0 + amplitude * np.cos(2.0 * folds * np.pi * u)
     angle = 2.0 * np.pi * u
@@ -138,31 +108,26 @@ def build_radial_curve(folds: int, amplitude: float, node_count: int) -> CurveSt
 
 
 def build_circle(radius: float = 1.0, node_count: int = 200) -> CurveState:
-    """Regular node_count-gon inscribed in the circle of given radius."""
+    """Regular node_count-gon inscribed in the circle of given radius.
+
+    Raises ValueError for a radius that is not finite and positive or
+    node_count < 4.  Each message starts with the violated parameter.
+    """
     if not (np.isfinite(radius) and radius > 0):
-        raise ValueError("radius must be positive")
+        raise ValueError("radius > 0")
     if node_count < 4:
-        raise ValueError("node_count must be >= 4")
+        raise ValueError("node_count >= 4")
     angle = 2.0 * np.pi * np.arange(node_count, dtype=np.float64) / node_count
     nodes = radius * np.stack([np.cos(angle), np.sin(angle)], axis=1)
     return CurveState(nodes)
-
-
-def load_polyline(points: ArrayLike) -> CurveState:
-    """Build a curve from an ordered point sequence (closure implied).
-
-    Rejects fewer than 4 points and duplicate consecutive points (including
-    an explicit closing point equal to the first).  Orientation is detected
-    from the signed area.
-    """
-    return CurveState(points)
 
 
 def read_polyline(path: str | Path) -> CurveState:
     """Read the plain-text polyline format: one "x y" pair per line.
 
     Lines starting with '#' and blank lines are ignored; closure is implied
-    (the last point connects back to the first).
+    (the last point connects back to the first), so an explicit closing
+    point equal to the first is a duplicate and rejected.
     """
     points = []
     text = Path(path).read_text()
@@ -177,7 +142,7 @@ def read_polyline(path: str | Path) -> CurveState:
             points.append((float(fields[0]), float(fields[1])))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return load_polyline(points)
+    return CurveState(points)
 
 
 def write_polyline(curve: CurveState, path: str | Path) -> None:
@@ -198,19 +163,17 @@ class _NodeGeometry(NamedTuple):
     kappa: FloatArray  # -k_i . N_i
 
 
-def _node_geometry(
-    nodes: FloatArray, epsilon: float = 0.0, d: FloatArray | None = None
-) -> _NodeGeometry:
+def _node_geometry(nodes: FloatArray, epsilon: float = 0.0) -> _NodeGeometry:
     """Every per-node quantity of the scheme, each computed once.
 
     The chord X_{i+1} - X_{i-1} is the sum of the edges entering and leaving
     node i.  Raises DegenerateSegmentError when a segment is shorter than
-    ``epsilon``; given segment lengths ``d`` are used as they are.
+    ``epsilon``.
     """
     xy = nodes.T
     padded = np.concatenate((xy[:, -1:], xy, xy[:, :1]), axis=1)
     edge = padded[:, 1:] - padded[:, :-1]  # X_i - X_{i-1}, i = 0..M; index M repeats 0
-    lengths = np.hypot(edge[0], edge[1]) if d is None else np.concatenate((d, d[:1]))
+    lengths = np.hypot(edge[0], edge[1])
     if lengths.min() < epsilon:
         raise DegenerateSegmentError(
             f"segment length {lengths.min():.3e} below threshold {epsilon:.3e}"
@@ -234,12 +197,7 @@ def segment_lengths(curve: CurveState, epsilon: float = EPSILON_GEOM) -> FloatAr
     return _node_geometry(curve.nodes, epsilon).d
 
 
-def dual_lengths(d: FloatArray) -> FloatArray:
-    """Dual (finite-volume) lengths (d_k + d_{k+1})/2; they sum to the total length."""
-    return 0.5 * (d + np.roll(d, -1))
-
-
-def discrete_curvature(curve: CurveState, d: FloatArray | None = None) -> FloatArray:
+def discrete_curvature(curve: CurveState) -> FloatArray:
     """Discrete curvature at every node.
 
     kappa[k] = - [ 2/(d_k+d_{k+1}) * ( (X_{k+1}-X_k)/d_{k+1} - (X_k-X_{k-1})/d_k ) ]
@@ -248,46 +206,7 @@ def discrete_curvature(curve: CurveState, d: FloatArray | None = None) -> FloatA
     i.e. minus the discrete curvature vector dotted with the discrete
     normal, with (x, y)^perp = (y, -x).  Counterclockwise convex curves get
     positive values; a CCW regular M-gon of radius R gets exactly
-    cos(pi/M)/R at every node.  Without ``d`` the segment lengths are
-    computed and checked against EPSILON_GEOM.
+    cos(pi/M)/R at every node.  Defined for every valid curve, however short
+    its segments; the stepper applies its own degeneracy threshold.
     """
-    return _node_geometry(curve.nodes, EPSILON_GEOM if d is None else 0.0, d).kappa
-
-
-def curve_length(d: FloatArray) -> float:
-    """Total length: sum of the segment lengths."""
-    return float(np.sum(d))
-
-
-def enclosed_area(curve: CurveState) -> float:
-    """Signed shoelace area of the node polygon; positive iff counterclockwise."""
-    return curve.area
-
-
-def shape_diagnostics(curve: CurveState, d: FloatArray | None = None) -> ShapeDiagnostics:
-    """Scalar circularity and mesh-quality measures.
-
-    isoperimetric_ratio = L^2/(4*pi*A) >= 1, equal to 1 only for the circle
-    (up to discretization); uniformity_ratio = max d_i / min d_i >= 1.
-    Requires positive enclosed area (counterclockwise input).
-    """
-    if curve.area <= 0.0:
-        raise ValueError("shape diagnostics require positive enclosed area")
-    d = segment_lengths(curve) if d is None else d
-    length, area = curve_length(d), curve.area
-    return ShapeDiagnostics(
-        isoperimetric_ratio=length * length / (4.0 * np.pi * area),
-        uniformity_ratio=float(d.max() / d.min()),
-    )
-
-
-def compute_geometry(curve: CurveState, epsilon: float = EPSILON_GEOM) -> GeometryCache:
-    """Segment lengths, dual lengths, curvature, total length and area in one pass."""
-    geo = _node_geometry(curve.nodes, epsilon)
-    return GeometryCache(
-        d=_frozen_array(geo.d),
-        dual=_frozen_array(0.5 * geo.span),
-        kappa=_frozen_array(geo.kappa),
-        total_length=curve_length(geo.d),
-        area=curve.area,
-    )
+    return _node_geometry(curve.nodes).kappa

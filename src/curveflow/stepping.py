@@ -52,7 +52,10 @@ EXTINCTION_LENGTH_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepper parameters; ``model`` picks the normal-velocity law."""
+    """Time-stepper parameters; ``model`` picks the normal-velocity law.
+
+    A ValueError names the violated field first, e.g. ``tau > 0``.
+    """
 
     model: FlowModel
     t_final: float

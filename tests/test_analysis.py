@@ -10,9 +10,8 @@ from curveflow import (
     circle_radius,
     convergence_study,
     discrete_curvature,
-    nonconvex_fixture,
-    Orientation,
 )
+from curveflow.analysis import nonconvex_fixture
 
 
 def implicit_time_of_radius(r, r0, force):
@@ -85,7 +84,7 @@ class TestNonconvexFixture:
     def test_shape(self):
         curve = nonconvex_fixture()
         assert curve.node_count == 200
-        assert curve.orientation is Orientation.COUNTERCLOCKWISE
+        assert curve.area > 0.0
         kappa = discrete_curvature(curve)
         assert kappa.min() < 0 < kappa.max()  # genuinely nonconvex
 
@@ -101,7 +100,7 @@ class TestReferenceStudies:
         ]
         for record in reference_report.records:
             assert record.trajectory.snapshots[0][0] == 0.0
-            assert record.uniformity_history[0][0] == 0.0
+            assert record.trajectory.diagnostics[0].t == 0.0
             assert record.elapsed_seconds > 0
 
     def test_shrinking_study_reaches_extinction(self, reference_report):

@@ -12,9 +12,7 @@ from curveflow import (
     FlowLaw,
     build_circle,
     build_radial_curve,
-    compute_geometry,
-    enclosed_area,
-    load_polyline,
+    discrete_curvature,
     segment_lengths,
     stepping,
 )
@@ -42,12 +40,12 @@ class TestParseConfig:
         assert spec.curve == "radial"
         assert spec.folds == 5
         assert spec.amplitude == 0.65
-        assert spec.model.law is FlowLaw.AREA_PRESERVING
+        assert spec.config.model.law is FlowLaw.AREA_PRESERVING
         assert spec.nodes == 200
-        assert spec.t_final == 0.5
+        assert spec.config.t_final == 0.5
         # documented defaults
-        assert spec.tau == 1e-4
-        assert spec.snapshot_every == 100
+        assert spec.config.tau == 1e-4
+        assert spec.config.snapshot_every == 100
         assert spec.out_dir == "out"
 
     def test_circle_defaults(self):
@@ -59,34 +57,35 @@ class TestParseConfig:
         spec = parse_config(
             "curve = circle\nmodel = constant\nforce = 2.5\nt_final = 1\n"
         )
-        assert spec.model.law is FlowLaw.CONSTANT_FORCE
-        assert spec.model.force == 2.5
+        assert spec.config.model.law is FlowLaw.CONSTANT_FORCE
+        assert spec.config.model.force == 2.5
 
     @pytest.mark.parametrize(
-        "text,message",
+        "text,message,line",
         [
-            ("curve = radial\nfolds = 5\namplitude = 0.65\nmodel = csf\ntau = -1\nt_final = 1", "tau > 0"),
-            ("curve = radial\nfolds = 5\namplitude = 0.65\npolyline_path = x\nmodel = csf\nt_final = 1", "exactly one initial curve"),
-            ("curve = circle\nfolds = 3\nmodel = csf\nt_final = 1", "exactly one initial curve"),
-            ("curve = circle\nmodel = csf\nt_final = -2", "t_final >= 0"),
-            ("curve = circle\nmodel = csf\nt_final = 1\nsnapshot_every = 0", "snapshot_every >= 1"),
-            ("curve = circle\nmodel = csf\nt_final = 1\nnodes = 3", "nodes >= 4"),
-            ("curve = radial\nfolds = 0\namplitude = 0.5\nmodel = csf\nt_final = 1", "folds >= 1"),
-            ("curve = radial\nfolds = 4\namplitude = 1.0\nmodel = csf\nt_final = 1", "amplitude"),
-            ("curve = circle\nradius = -1\nmodel = csf\nt_final = 1", "radius > 0"),
-            ("curve = circle\nmodel = csf\nt_final = 1\nforce = 2", "force only applies"),
-            ("curve = circle\nmodel = constant\nt_final = 1", "missing required key 'force'"),
-            ("curve = polyline\npolyline_path = p.txt\nnodes = 10\nmodel = csf\nt_final = 1", "nodes does not apply"),
-            ("curve = hexagon\nmodel = csf\nt_final = 1", "curve must be one of"),
-            ("curve = circle\nmodel = magic\nt_final = 1", "model must be one of"),
-            ("model = csf\nt_final = 1", "missing required key 'curve'"),
-            ("curve = circle\nmodel = csf", "missing required key 't_final'"),
-            ("curve = circle\nmodel = csf\ntau = nan\nt_final = 1", "tau > 0"),
+            ("curve = radial\nfolds = 5\namplitude = 0.65\nmodel = csf\ntau = -1\nt_final = 1", "tau > 0", 5),
+            ("curve = radial\nfolds = 5\namplitude = 0.65\npolyline_path = x\nmodel = csf\nt_final = 1", "exactly one initial curve", 4),
+            ("curve = circle\nfolds = 3\nmodel = csf\nt_final = 1", "exactly one initial curve", 2),
+            ("curve = circle\nmodel = csf\nt_final = -2", "t_final >= 0", 3),
+            ("curve = circle\nmodel = csf\nt_final = 1\nsnapshot_every = 0", "snapshot_every >= 1", 4),
+            ("curve = circle\nmodel = csf\nt_final = 1\nnodes = 3", "nodes >= 4", 4),
+            ("curve = radial\nfolds = 0\namplitude = 0.5\nmodel = csf\nt_final = 1", "folds >= 1", 2),
+            ("curve = radial\nfolds = 4\namplitude = 1.0\nmodel = csf\nt_final = 1", "amplitude", 3),
+            ("curve = circle\nradius = -1\nmodel = csf\nt_final = 1", "radius > 0", 2),
+            ("curve = circle\nmodel = csf\nt_final = 1\nforce = 2", "force only applies", 4),
+            ("curve = circle\nmodel = constant\nt_final = 1", "missing required key 'force'", None),
+            ("curve = polyline\npolyline_path = p.txt\nnodes = 10\nmodel = csf\nt_final = 1", "nodes does not apply", 3),
+            ("curve = hexagon\nmodel = csf\nt_final = 1", "curve must be one of", 1),
+            ("curve = circle\nmodel = magic\nt_final = 1", "model must be one of", 2),
+            ("model = csf\nt_final = 1", "missing required key 'curve'", None),
+            ("curve = circle\nmodel = csf", "missing required key 't_final'", None),
+            ("curve = circle\nmodel = csf\ntau = nan\nt_final = 1", "tau > 0", 3),
         ],
     )
-    def test_validation_errors(self, text, message):
-        with pytest.raises(ConfigError, match=message):
+    def test_validation_errors(self, text, message, line):
+        with pytest.raises(ConfigError, match=message) as caught:
             parse_config(text)
+        assert caught.value.line == line
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ConfigError, match="line 3"):
@@ -136,10 +135,10 @@ class TestSnapshotFormat:
             assert path.read_bytes() == _per_row_snapshot(t, curve, kappa).encode()
 
     def test_unit_square_rows(self, tmp_path):
-        square = load_polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        geo = compute_geometry(square)
+        square = CurveState([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        kappa = discrete_curvature(square)
         path = tmp_path / "square.dat"
-        write_snapshot(0.0, square, geo.kappa, path)
+        write_snapshot(0.0, square, kappa, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# t=0 M=4"
         assert len(lines) == 5
@@ -148,33 +147,33 @@ class TestSnapshotFormat:
 
     def test_round_trip_is_exact(self, tmp_path):
         curve = build_radial_curve(5, 0.65, 200)
-        geo = compute_geometry(curve)
+        kappa = discrete_curvature(curve)
         path = tmp_path / "five.dat"
-        write_snapshot(0.0, curve, geo.kappa, path)
+        write_snapshot(0.0, curve, kappa, path)
         points = []
         for line in path.read_text().splitlines():
             if line.startswith("#"):
                 continue
             _, x, y, _ = line.split()
             points.append((float(x), float(y)))
-        loaded = load_polyline(points)
+        loaded = CurveState(points)
         assert np.array_equal(loaded.nodes, curve.nodes)
 
     def test_write_failure_names_the_path(self, tmp_path):
         from curveflow import CurveFlowError
 
-        square = load_polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        geo = compute_geometry(square)
+        square = CurveState([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        kappa = discrete_curvature(square)
         target = tmp_path / "no-such-dir" / "x.dat"
         with pytest.raises(CurveFlowError, match="no-such-dir"):
-            write_snapshot(0.0, square, geo.kappa, target)
+            write_snapshot(0.0, square, kappa, target)
 
     def test_five_fold_snapshot_area(self, tmp_path):
         # shoelace of the written rows against the polar-area quadrature oracle
         curve = build_radial_curve(5, 0.65, 200)
-        geo = compute_geometry(curve)
+        kappa = discrete_curvature(curve)
         path = tmp_path / "five.dat"
-        write_snapshot(0.0, curve, geo.kappa, path)
+        write_snapshot(0.0, curve, kappa, path)
         rows = np.loadtxt(path)
         assert rows.shape == (200, 4)
         area = 0.5 * np.sum(
@@ -230,7 +229,7 @@ class TestRunCommand:
         for index, line in enumerate(summary):
             area_column = float(line.split(",")[2])
             rows = np.loadtxt(out / f"snapshot_{index:06d}.dat")
-            assert enclosed_area(load_polyline(rows[:, 1:3])) == area_column
+            assert CurveState(rows[:, 1:3]).area == area_column
 
     def test_min_segment_column_is_the_smallest_segment(self, run_dir):
         config = _write(run_dir / "run.conf", self.CONFIG.format(out="out-a"))
@@ -240,7 +239,7 @@ class TestRunCommand:
         assert header.split(",")[-1] == "min_segment"
         for index, line in enumerate(summary):
             rows = np.loadtxt(out / f"snapshot_{index:06d}.dat")
-            d = segment_lengths(load_polyline(rows[:, 1:3]), 0.0)
+            d = segment_lengths(CurveState(rows[:, 1:3]), 0.0)
             assert float(line.split(",")[-1]) == d.min()
 
     def test_polyline_input_resolves_relative_to_config(self, run_dir):
@@ -303,7 +302,22 @@ class TestRunCommand:
         for index, line in enumerate(summary[1:]):
             rows = np.loadtxt(out / f"snapshot_{index:06d}.dat")
             assert rows.shape == (64, 4)
-            assert enclosed_area(load_polyline(rows[:, 1:3])) == float(line.split(",")[2])
+            assert CurveState(rows[:, 1:3]).area == float(line.split(",")[2])
+
+    def test_rerun_clears_stale_snapshots(self, run_dir):
+        # a shorter run into the same out_dir must not leave the longer
+        # run's later snapshots beside its own summary
+        five_fold = (
+            "curve = radial\nfolds = 5\namplitude = 0.65\nmodel = csf\ntau = 1e-3\n"
+            "snapshot_every = 5\nout_dir = out-s\nt_final = {t_final}\n"
+        )
+        for t_final in ("0.02", "0.005"):
+            config = _write(run_dir / "run.conf", five_fold.format(t_final=t_final))
+            assert run_cli(["run", config]) == 0
+        out = run_dir / "out-s"
+        snapshots = sorted(p.name for p in out.glob("snapshot_*.dat"))
+        assert snapshots == [f"snapshot_{i:06d}.dat" for i in range(2)]
+        assert len((out / "summary.csv").read_text().splitlines()) == 1 + 2
 
     @pytest.mark.parametrize(
         "text",

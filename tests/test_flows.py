@@ -8,9 +8,10 @@ from curveflow import (
     FlowLaw,
     FlowModel,
     build_circle,
-    compute_geometry,
+    discrete_curvature,
     forcing_value,
     nonlocal_force,
+    segment_lengths,
 )
 from conftest import random_star_curve
 from support import rigid_motion
@@ -18,11 +19,15 @@ from support import rigid_motion
 
 def forcing_inputs(curve):
     """kappa, the spans s_i = d_i + d_{i+1} and the discrete normals N_i."""
-    geo = compute_geometry(curve)
-    span = 2.0 * geo.dual
+    d = segment_lengths(curve)
+    span = d + np.roll(d, -1)
     chord = np.roll(curve.nodes, -1, axis=0) - np.roll(curve.nodes, 1, axis=0)
     normal = np.stack([chord[:, 1], -chord[:, 0]], axis=1) / span[:, None]
-    return geo.kappa, span, normal
+    return discrete_curvature(curve), span, normal
+
+
+def kappa_and_lengths(curve):
+    return discrete_curvature(curve), segment_lengths(curve)
 
 
 def law_force(curve):
@@ -48,15 +53,15 @@ class TestNonlocalForce:
     def test_polygon_closed_form(self):
         # length-weighted average of the uniform polygon curvature
         m = 200
-        geo = compute_geometry(build_circle(1.0, m))
-        force = nonlocal_force(geo.kappa, geo.d)
+        force = nonlocal_force(*kappa_and_lengths(build_circle(1.0, m)))
         assert np.isclose(force, np.cos(np.pi / m), rtol=1e-12)
         assert abs(force - 1.0) <= 1.5e-4
 
     def test_clockwise_polygon_flips_sign(self):
         m = 200
-        geo = compute_geometry(CurveState(build_circle(1.0, m).nodes[::-1]))
-        assert np.isclose(nonlocal_force(geo.kappa, geo.d), -np.cos(np.pi / m), rtol=1e-12)
+        clockwise = CurveState(build_circle(1.0, m).nodes[::-1])
+        force = nonlocal_force(*kappa_and_lengths(clockwise))
+        assert np.isclose(force, -np.cos(np.pi / m), rtol=1e-12)
 
     def test_constant_curvature_returns_the_constant(self):
         rng = np.random.default_rng(3)
@@ -76,28 +81,26 @@ class TestNonlocalForce:
     def test_convex_combination_bound(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
-            geo = compute_geometry(random_star_curve(rng))
-            force = nonlocal_force(geo.kappa, geo.d)
-            assert geo.kappa.min() - 1e-12 <= force <= geo.kappa.max() + 1e-12
+            kappa, d = kappa_and_lengths(random_star_curve(rng))
+            force = nonlocal_force(kappa, d)
+            assert kappa.min() - 1e-12 <= force <= kappa.max() + 1e-12
 
     def test_rigid_invariance_and_scaling(self):
         rng = np.random.default_rng(23)
         curve = random_star_curve(rng, node_count=64)
-        geo = compute_geometry(curve)
-        force = nonlocal_force(geo.kappa, geo.d)
-        moved = compute_geometry(rigid_motion(curve, 1.1, (4.0, -2.0)))
-        assert np.isclose(nonlocal_force(moved.kappa, moved.d), force, rtol=1e-8)
-        scaled = compute_geometry(CurveState(3.0 * curve.nodes))
-        assert np.isclose(nonlocal_force(scaled.kappa, scaled.d), force / 3.0, rtol=1e-10)
+        force = nonlocal_force(*kappa_and_lengths(curve))
+        moved = rigid_motion(curve, 1.1, (4.0, -2.0))
+        assert np.isclose(nonlocal_force(*kappa_and_lengths(moved)), force, rtol=1e-8)
+        scaled = CurveState(3.0 * curve.nodes)
+        assert np.isclose(nonlocal_force(*kappa_and_lengths(scaled)), force / 3.0, rtol=1e-10)
 
     def test_total_turning_approximation(self):
         # F ~ 2*pi/L for smooth convex curves, O(M^-2) on a non-uniform mesh
         for m in (128, 256, 512):
             t = 2 * np.pi * np.arange(m) / m
             ellipse = CurveState(np.stack([1.3 * np.cos(t), 0.7 * np.sin(t)], axis=1))
-            geo = compute_geometry(ellipse)
-            force = nonlocal_force(geo.kappa, geo.d)
-            assert abs(force - 2 * np.pi / geo.total_length) <= 12.0 / m**2
+            force = nonlocal_force(*kappa_and_lengths(ellipse))
+            assert abs(force - 2 * np.pi / ellipse.length) <= 12.0 / m**2
             # the solver's area-conserving F differs from it only at O(M^-2)
             assert abs(law_force(ellipse) - force) <= 12.0 / m**2
 

@@ -7,21 +7,15 @@ from scipy.integrate import quad
 from curveflow import (
     CurveState,
     DegenerateSegmentError,
-    Orientation,
     build_circle,
     build_radial_curve,
-    compute_geometry,
-    curve_length,
     discrete_curvature,
-    dual_lengths,
-    enclosed_area,
-    load_polyline,
     read_polyline,
     segment_lengths,
-    shape_diagnostics,
     write_polyline,
 )
 from conftest import random_star_curve
+from support import initial_row
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -71,7 +65,7 @@ class TestCurveState:
             CurveState(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
 
     def test_immutable(self):
-        curve = load_polyline(UNIT_SQUARE)
+        curve = CurveState(UNIT_SQUARE)
         assert not curve.nodes.flags.writeable
         with pytest.raises(Exception):
             curve.nodes = np.zeros((4, 2))
@@ -81,7 +75,7 @@ class TestBuilders:
     def test_radial_nodes_on_polar_graph(self):
         curve = build_radial_curve(4, 0.4, 200)
         assert curve.node_count == 200
-        assert curve.orientation is Orientation.COUNTERCLOCKWISE
+        assert curve.area > 0.0
         u = np.arange(200) / 200
         radius = np.linalg.norm(curve.nodes, axis=1)
         assert np.allclose(radius, 1.0 + 0.4 * np.cos(8 * np.pi * u), rtol=1e-14)
@@ -102,6 +96,10 @@ class TestBuilders:
             build_radial_curve(4, 0.4, 3)
         with pytest.raises(ValueError):
             build_radial_curve(0, 0.4, 100)
+        # a fractional folds does not close the curve; a bool is no count
+        for folds in (2.5, True):
+            with pytest.raises(ValueError, match="folds"):
+                build_radial_curve(folds, 0.4, 200)
 
     def test_circle_radius(self):
         curve = build_circle(2.5, 128)
@@ -110,16 +108,16 @@ class TestBuilders:
 
 class TestPolyline:
     def test_square_ccw(self):
-        curve = load_polyline(UNIT_SQUARE)
-        assert curve.orientation is Orientation.COUNTERCLOCKWISE
+        curve = CurveState(UNIT_SQUARE)
+        assert curve.area > 0.0
 
     def test_square_cw(self):
-        curve = load_polyline(UNIT_SQUARE[::-1])
-        assert curve.orientation is Orientation.CLOCKWISE
+        curve = CurveState(UNIT_SQUARE[::-1])
+        assert curve.area < 0.0
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
-            load_polyline(UNIT_SQUARE[:3])
+            CurveState(UNIT_SQUARE[:3])
 
     def test_file_round_trip(self, tmp_path):
         curve = build_radial_curve(5, 0.65, 200)
@@ -127,7 +125,7 @@ class TestPolyline:
         write_polyline(curve, path)
         loaded = read_polyline(path)
         assert np.array_equal(loaded.nodes, curve.nodes)
-        assert loaded.orientation is curve.orientation
+        assert loaded.area == curve.area
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "square.txt"
@@ -155,13 +153,13 @@ class TestSegmentLengths:
         assert np.allclose(d, 2.0 * np.sin(np.pi / m), rtol=1e-12)
 
     def test_unit_square(self):
-        d = segment_lengths(load_polyline(UNIT_SQUARE))
+        d = segment_lengths(CurveState(UNIT_SQUARE))
         assert np.array_equal(d, np.ones(4))
 
     def test_five_fold_matches_quadrature(self):
         # independent fine-quadrature oracle for the arc length
         curve = build_radial_curve(5, 0.65, 200)
-        total = curve_length(segment_lengths(curve))
+        total = curve.length
         oracle = arc_length(5, 0.65)
         assert abs(total - oracle) / oracle <= 1e-3
 
@@ -170,12 +168,6 @@ class TestSegmentLengths:
         curve = CurveState(nodes)
         with pytest.raises(DegenerateSegmentError):
             segment_lengths(curve)
-
-    def test_dual_lengths_sum_to_total(self):
-        rng = np.random.default_rng(7)
-        curve = random_star_curve(rng)
-        d = segment_lengths(curve)
-        assert np.isclose(np.sum(dual_lengths(d)), np.sum(d), rtol=1e-13)
 
 
 class TestDiscreteCurvature:
@@ -223,10 +215,10 @@ class TestDiscreteCurvature:
 
 class TestAreaAndLength:
     def test_unit_square_area(self):
-        assert enclosed_area(load_polyline(UNIT_SQUARE)) == 1.0
+        assert CurveState(UNIT_SQUARE).area == 1.0
 
     def test_regular_200gon_area(self):
-        area = enclosed_area(build_circle(1.0, 200))
+        area = build_circle(1.0, 200).area
         assert np.isclose(area, 100.0 * np.sin(np.pi / 100), rtol=1e-12)
         assert abs(area - 3.14108) < 1e-5
 
@@ -236,49 +228,46 @@ class TestAreaAndLength:
         # products of absolute coordinates cancel to 0
         side, offset = 2.0**-60, 2.0**-10
         square = offset + side * np.array(UNIT_SQUARE)
-        curve = load_polyline(square)
-        assert curve.orientation is Orientation.COUNTERCLOCKWISE
-        assert enclosed_area(curve) == side * side
-        assert enclosed_area(load_polyline(square[::-1])) == -side * side
+        curve = CurveState(square)
+        assert curve.area == side * side
+        assert CurveState(square[::-1]).area == -side * side
 
     def test_five_fold_area_matches_quadrature(self):
         curve = build_radial_curve(5, 0.65, 200)
         oracle = polar_area(5, 0.65)
         assert np.isclose(oracle, np.pi * (1 + 0.65**2 / 2), rtol=1e-10)
-        assert abs(enclosed_area(curve) - oracle) / oracle <= 3e-3
+        assert abs(curve.area - oracle) / oracle <= 3e-3
 
     def test_unit_square_length(self):
-        assert curve_length(segment_lengths(load_polyline(UNIT_SQUARE))) == 4.0
+        assert CurveState(UNIT_SQUARE).length == 4.0
 
     def test_polygon_perimeter(self):
         for m in (100, 400):
-            length = curve_length(segment_lengths(build_circle(1.0, m)))
+            length = build_circle(1.0, m).length
             assert np.isclose(length, 2 * m * np.sin(np.pi / m), rtol=1e-12)
         assert abs(length - 2 * np.pi) < 1e-4
 
 
 class TestShapeDiagnostics:
+    """The scalar shape measures of the diagnostics row recorded at t = 0."""
+
     def test_regular_polygon(self):
         for m in (64, 200):
-            diag = shape_diagnostics(build_circle(1.0, m))
+            diag = initial_row(build_circle(1.0, m))
             assert np.isclose(diag.isoperimetric_ratio, (m / np.pi) * np.tan(np.pi / m), rtol=1e-12)
             assert diag.isoperimetric_ratio >= 1.0
             assert abs(diag.uniformity_ratio - 1.0) < 1e-12
 
     def test_unit_square(self):
-        diag = shape_diagnostics(load_polyline(UNIT_SQUARE))
+        diag = initial_row(CurveState(UNIT_SQUARE))
         assert np.isclose(diag.isoperimetric_ratio, 4.0 / np.pi, rtol=1e-12)
 
     def test_five_fold_vs_quadrature(self):
         curve = build_radial_curve(5, 0.65, 200)
-        diag = shape_diagnostics(curve)
+        diag = initial_row(curve)
         oracle = arc_length(5, 0.65) ** 2 / (4 * np.pi * polar_area(5, 0.65))
         assert diag.isoperimetric_ratio > 1.2
         assert abs(diag.isoperimetric_ratio - oracle) / oracle <= 5e-3
-
-    def test_rejects_clockwise(self):
-        with pytest.raises(ValueError, match="positive"):
-            shape_diagnostics(load_polyline(UNIT_SQUARE[::-1]))
 
 
 class TestInvariantProperties:
@@ -310,15 +299,3 @@ class TestInvariantProperties:
         for _ in range(5):
             check_orientation_antisymmetry(random_star_curve(rng))
 
-
-class TestGeometryCache:
-    def test_consistent_with_individual_ops(self):
-        curve = build_radial_curve(5, 0.65, 200)
-        geo = compute_geometry(curve)
-        d = segment_lengths(curve)
-        assert np.array_equal(geo.d, d)
-        assert np.array_equal(geo.dual, dual_lengths(d))
-        assert np.array_equal(geo.kappa, discrete_curvature(curve, d))
-        assert geo.total_length == curve_length(d)
-        assert geo.area == enclosed_area(curve)
-        assert not geo.d.flags.writeable
