@@ -102,9 +102,7 @@ class StudyRecord:
     """Outcome of one evolution run, with the scalars the studies report on."""
 
     name: str
-    node_count: int
-    tau: float
-    t_final: float
+    config: SolverConfig
     status: str
     initial_area: float
     final_area: float
@@ -137,9 +135,7 @@ def _run_study(name: str, curve: CurveState, config: SolverConfig) -> StudyRecor
     rows = trajectory.diagnostics
     return StudyRecord(
         name=name,
-        node_count=curve.node_count,
-        tau=config.tau,
-        t_final=config.t_final,
+        config=config,
         status=trajectory.status.value,
         initial_area=rows[0].area,
         final_area=rows[-1].area,

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    CircleOracle,
     StudyReport,
     convergence_study,
     run_reference_studies,
@@ -45,12 +46,6 @@ from .stepping import (
     evolve,
 )
 
-_KNOWN_KEYS = frozenset(
-    {
-        "curve", "folds", "amplitude", "radius", "polyline_path",
-        "model", "force", "nodes", "tau", "t_final", "snapshot_every", "out_dir",
-    }
-)
 #: the ``curve`` values and the keys tied to each; any of those keys with
 #: a different ``curve`` value is a configuration error.
 _VARIANT_KEYS = {
@@ -58,6 +53,9 @@ _VARIANT_KEYS = {
     "circle": {"radius"},
     "polyline": {"polyline_path"},
 }
+_KNOWN_KEYS = frozenset(
+    {"curve", "model", "force", "nodes", "tau", "t_final", "snapshot_every", "out_dir"}
+).union(*_VARIANT_KEYS.values())
 
 #: constructor parameters whose config key has another name
 _PARAMETER_KEYS = {"node_count": "nodes"}
@@ -78,64 +76,26 @@ _SNAPSHOT_ROW = "%d %.17g %.17g %.17g\n"
 class RunSpec:
     """Validated contents of a run config file."""
 
-    curve: str
     config: SolverConfig
-    folds: int | None = None
-    amplitude: float | None = None
-    radius: float = 1.0
-    polyline_path: str | None = None
-    nodes: int = 200
+    initial: CurveState = field(repr=False)
     out_dir: str = "out"
-    #: the built radial or circle curve; build_initial_curve reads a polyline
-    initial: CurveState | None = field(default=None, repr=False)
 
 
-class _ConfigValues:
-    """Raw key -> (value, line) pairs with typed, line-tagged accessors."""
-
-    def __init__(self):
-        self.entries: dict[str, tuple[str, int]] = {}
-
-    def add(self, key: str, value: str, line: int) -> None:
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}", line)
-        if key in self.entries:
-            raise ConfigError(f"duplicate key {key!r}", line)
-        self.entries[key] = (value, line)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
-
-    def raw(self, key: str) -> str:
-        return self.entries[key][0]
-
-    def line(self, key: str) -> int:
-        return self.entries[key][1]
-
-    def as_float(self, key: str) -> float:
-        value, line = self.entries[key]
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}", line) from None
-
-    def as_int(self, key: str) -> int:
-        value, line = self.entries[key]
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}", line) from None
+#: config key -> (raw value, line number)
+_Entries = dict[str, tuple[str, int]]
 
 
-def parse_config(text: str) -> RunSpec:
+def parse_config(text: str, base_dir: Path | None = None) -> RunSpec:
     """Parse and validate the flat ``key = value`` config format.
 
     One assignment per line; '#' starts a comment; unknown and duplicate
     keys are hard errors.  Raises ConfigError carrying the offending line
     number (None for a missing key); a validation error names the violated
-    invariant, e.g. ``tau > 0``.
+    invariant, e.g. ``tau > 0``.  A polyline is read here, a relative path
+    resolving against ``base_dir`` (the config file's directory when invoked
+    through the CLI).
     """
-    values = _ConfigValues()
+    entries: _Entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,16 +106,39 @@ def parse_config(text: str) -> RunSpec:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
-        values.add(key, value, lineno)
-    return _build_run_spec(values)
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown key {key!r}", lineno)
+        if key in entries:
+            raise ConfigError(f"duplicate key {key!r}", lineno)
+        entries[key] = (value, lineno)
+    return _build_run_spec(entries, base_dir)
 
 
-def _require(values: _ConfigValues, key: str) -> None:
-    if key not in values:
+def _value(entries: _Entries, key: str, kind=str):
+    """A required key's value converted by ``kind`` (str, float or int)."""
+    if key not in entries:
         raise ConfigError(f"missing required key {key!r}")
+    value, line = entries[key]
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}", line) from None
 
 
-def _construct(values: _ConfigValues, build, *args, **kwargs):
+def _line(entries: _Entries, key: str) -> int | None:
+    return entries[key][1] if key in entries else None
+
+
+def _present(entries: _Entries, **kinds) -> dict:
+    """Keyword arguments for the parameters whose key is present, so every
+    default stays in the constructor's signature."""
+    keys = {name: _PARAMETER_KEYS.get(name, name) for name in kinds}
+    return {name: _value(entries, keys[name], kind) for name, kind in kinds.items()
+            if keys[name] in entries}
+
+
+def _construct(entries: _Entries, build, *args, **kwargs):
     """Call a validating constructor.  Its ValueError, whose message starts
     with the violated parameter, becomes a ConfigError on that key's line."""
     try:
@@ -164,96 +147,65 @@ def _construct(values: _ConfigValues, build, *args, **kwargs):
         message = str(exc)
         name = message.split()[0].strip("|")
         key = _PARAMETER_KEYS.get(name, name)
-        line = values.line(key) if key in values else None
-        raise ConfigError(message.replace(name, key, 1), line) from None
+        raise ConfigError(message.replace(name, key, 1), _line(entries, key)) from None
 
 
-def _build_run_spec(values: _ConfigValues) -> RunSpec:
-    _require(values, "curve")
-    curve = values.raw("curve")
+def _build_run_spec(entries: _Entries, base_dir: Path | None) -> RunSpec:
+    curve = _value(entries, "curve")
     if curve not in _VARIANT_KEYS:
         raise ConfigError(
             f"curve must be one of {'|'.join(_VARIANT_KEYS)}, got {curve!r}",
-            values.line("curve"),
+            _line(entries, "curve"),
         )
     for kind, keys in _VARIANT_KEYS.items():
         if kind == curve:
             continue
-        stray = sorted(keys & values.entries.keys())
+        stray = sorted(keys & entries.keys())
         if stray:
             raise ConfigError(
                 f"exactly one initial curve: key {stray[0]!r} does not apply to curve = {curve}",
-                values.line(stray[0]),
+                _line(entries, stray[0]),
             )
 
-    _require(values, "model")
-    model_kind, laws = values.raw("model"), [law.value for law in FlowLaw]
+    model_kind, laws = _value(entries, "model"), [law.value for law in FlowLaw]
     if model_kind not in laws:
         raise ConfigError(
-            f"model must be one of {'|'.join(laws)}, got {model_kind!r}", values.line("model")
+            f"model must be one of {'|'.join(laws)}, got {model_kind!r}", _line(entries, "model")
         )
     law = FlowLaw(model_kind)
     if law is FlowLaw.CONSTANT_FORCE:
-        _require(values, "force")
-    elif "force" in values:
-        raise ConfigError("force only applies to model = constant", values.line("force"))
-    force = values.as_float("force") if "force" in values else 0.0
-    model = _construct(values, FlowModel, law, force)
-
-    _require(values, "t_final")
-    options = {}
-    if "tau" in values:
-        options["tau"] = values.as_float("tau")
-    if "snapshot_every" in values:
-        options["snapshot_every"] = values.as_int("snapshot_every")
-    config = _construct(values, SolverConfig, model, values.as_float("t_final"), **options)
-    spec = RunSpec(curve=curve, config=config)
+        _value(entries, "force")  # required
+    elif "force" in entries:
+        raise ConfigError("force only applies to model = constant", _line(entries, "force"))
+    model = _construct(entries, FlowModel, law, **_present(entries, force=float))
+    config = _construct(
+        entries, SolverConfig, model, _value(entries, "t_final", float),
+        **_present(entries, tau=float, snapshot_every=int),
+    )
 
     if curve == "polyline":
-        _require(values, "polyline_path")
-        spec.polyline_path = values.raw("polyline_path")
-        if "nodes" in values:
+        if "nodes" in entries:
             raise ConfigError(
                 "nodes does not apply to curve = polyline (the file sets the node count)",
-                values.line("nodes"),
+                _line(entries, "nodes"),
             )
+        path = Path(base_dir or "", _value(entries, "polyline_path"))
+        try:
+            initial = read_polyline(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read polyline file: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"invalid polyline file: {exc}") from exc
+    elif curve == "radial":
+        initial = _construct(
+            entries, build_radial_curve, _value(entries, "folds", int),
+            _value(entries, "amplitude", float), **_present(entries, node_count=int),
+        )
     else:
-        if "nodes" in values:
-            spec.nodes = values.as_int("nodes")
-        if curve == "radial":
-            _require(values, "folds")
-            _require(values, "amplitude")
-            spec.folds = values.as_int("folds")
-            spec.amplitude = values.as_float("amplitude")
-            spec.initial = _construct(
-                values, build_radial_curve, spec.folds, spec.amplitude, spec.nodes
-            )
-        else:
-            if "radius" in values:
-                spec.radius = values.as_float("radius")
-            spec.initial = _construct(values, build_circle, spec.radius, spec.nodes)
-    if "out_dir" in values:
-        spec.out_dir = values.raw("out_dir")
-    return spec
-
-
-def build_initial_curve(spec: RunSpec, base_dir: Path | None = None) -> CurveState:
-    """Materialize the configured initial curve.
-
-    Relative polyline paths resolve against ``base_dir`` (the config file's
-    directory when invoked through the CLI).
-    """
-    if spec.initial is not None:
-        return spec.initial
-    path = Path(spec.polyline_path)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
-    try:
-        return read_polyline(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read polyline file: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid polyline file: {exc}") from exc
+        initial = _construct(
+            entries, build_circle, **_present(entries, radius=float, node_count=int)
+        )
+    return RunSpec(config, initial, **_present(entries, out_dir=str))
 
 
 def write_snapshot(t: float, curve: CurveState, kappa, path: str | Path) -> None:
@@ -289,8 +241,7 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    spec = parse_config(text)
-    initial = build_initial_curve(spec, config_path.parent)
+    spec = parse_config(text, config_path.parent)
     out_dir = Path(spec.out_dir)
     summary_path = out_dir / "summary.csv"
     try:
@@ -318,7 +269,7 @@ def _cmd_run(args) -> int:
 
     with summary:
         summary.write(SUMMARY_HEADER + "\n")
-        trajectory = evolve(initial, spec.config, on_record=write_record)
+        trajectory = evolve(spec.initial, spec.config, on_record=write_record)
     last = trajectory.diagnostics[-1]
     print(
         f"status={trajectory.status.value} t={_fmt(last.t)} length={_fmt(last.length)} "
@@ -348,7 +299,7 @@ def _cmd_oracle(args) -> int:
             file=sys.stderr,
         )
         return 2
-    analytic = 0.5
+    analytic = CircleOracle(1.0, config.model).extinction_time()
     measured = trajectory.extinction_time
     print(f"shrinking unit circle, tau={_fmt(args.tau)}, nodes=200")
     print(f"extinction time: measured={_fmt(measured)} analytic={_fmt(analytic)}")
@@ -393,9 +344,9 @@ def _write_report(report: StudyReport, out_dir: Path) -> None:
             ",".join(
                 [
                     r.name,
-                    str(r.node_count),
-                    _fmt(r.tau),
-                    _fmt(r.t_final),
+                    str(r.trajectory.snapshots[0][1].node_count),
+                    _fmt(r.config.tau),
+                    _fmt(r.config.t_final),
                     r.status,
                     _fmt(r.initial_area),
                     _fmt(r.final_area),
@@ -417,8 +368,8 @@ def _write_report(report: StudyReport, out_dir: Path) -> None:
         (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
 
 
-def _cmd_examples(args) -> int:
-    report = run_reference_studies(node_count=args.nodes, tau=args.tau)
+def _cmd_study(args) -> int:
+    report = args.study(args)
     _write_report(report, Path(args.out_dir))
     for line in _report_lines(report):
         print(line)
@@ -426,17 +377,6 @@ def _cmd_examples(args) -> int:
     if any(r.status == TrajectoryStatus.ABORTED.value for r in report.records):
         print("error: at least one study aborted", file=sys.stderr)
         return 2
-    return 0
-
-
-def _cmd_convergence(args) -> int:
-    report = convergence_study(
-        base_node_count=args.base_nodes, base_tau=args.base_tau, levels=args.levels
-    )
-    _write_report(report, Path(args.out_dir))
-    for line in _report_lines(report):
-        print(line)
-    print(f"report written to {args.out_dir}")
     return 0
 
 
@@ -459,14 +399,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_examples.add_argument("--nodes", type=int, default=200)
     p_examples.add_argument("--tau", type=float, default=1e-4)
     p_examples.add_argument("--out-dir", default="examples-out")
-    p_examples.set_defaults(handler=_cmd_examples)
+    p_examples.set_defaults(
+        handler=_cmd_study, study=lambda a: run_reference_studies(node_count=a.nodes, tau=a.tau)
+    )
 
     p_conv = sub.add_parser("convergence", help="spatial/temporal refinement study")
     p_conv.add_argument("--base-nodes", type=int, default=50)
     p_conv.add_argument("--base-tau", type=float, default=4e-5)
     p_conv.add_argument("--levels", type=int, default=3)
     p_conv.add_argument("--out-dir", default="convergence-out")
-    p_conv.set_defaults(handler=_cmd_convergence)
+    p_conv.set_defaults(
+        handler=_cmd_study,
+        study=lambda a: convergence_study(
+            base_node_count=a.base_nodes, base_tau=a.base_tau, levels=a.levels
+        ),
+    )
     return parser
 
 

@@ -35,6 +35,11 @@ FloatArray = NDArray[np.float64]
 EPSILON_GEOM = 1e-12
 
 
+def _is_count(value, least: int) -> bool:
+    """An integer, not a bool, of at least ``least``."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+
+
 def _shoelace(prev: FloatArray, edge: FloatArray) -> float:
     """Signed area sum_i (X_{i-1} - X_0) x (X_i - X_{i-1}) / 2 from the (M, 2)
     rows ``prev`` = X_{i-1} - X_0 and ``edge`` = X_i - X_{i-1}.  Taken about
@@ -83,7 +88,7 @@ class CurveState:
         return self.nodes.shape[0]
 
 
-def build_radial_curve(folds: int, amplitude: float, node_count: int) -> CurveState:
+def build_radial_curve(folds: int, amplitude: float, node_count: int = 200) -> CurveState:
     """Sample the polar graph r(u) = 1 + amplitude*cos(2*folds*pi*u).
 
     Nodes are placed at u = k/node_count, k = 0..node_count-1, at
@@ -91,12 +96,13 @@ def build_radial_curve(folds: int, amplitude: float, node_count: int) -> CurveSt
     polygon inscribed in the unit circle.
 
     Raises ValueError for |amplitude| >= 1 (the radius could vanish), a
-    folds that is not an integer >= 1 (the curve would not close) or
-    node_count < 4.  Each message starts with the violated parameter.
+    folds that is not an integer >= 1 (the curve would not close) or a
+    node_count that is not an integer >= 4.  Each message starts with the
+    violated parameter.
     """
-    if node_count < 4:
-        raise ValueError("node_count >= 4")
-    if isinstance(folds, bool) or not isinstance(folds, numbers.Integral) or folds < 1:
+    if not _is_count(node_count, 4):
+        raise ValueError("node_count >= 4 and integral")
+    if not _is_count(folds, 1):
         raise ValueError("folds >= 1 and integral")
     if not abs(amplitude) < 1:
         raise ValueError("|amplitude| < 1")
@@ -110,13 +116,14 @@ def build_radial_curve(folds: int, amplitude: float, node_count: int) -> CurveSt
 def build_circle(radius: float = 1.0, node_count: int = 200) -> CurveState:
     """Regular node_count-gon inscribed in the circle of given radius.
 
-    Raises ValueError for a radius that is not finite and positive or
-    node_count < 4.  Each message starts with the violated parameter.
+    Raises ValueError for a radius that is not finite and positive or a
+    node_count that is not an integer >= 4.  Each message starts with the
+    violated parameter.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError("radius > 0")
-    if node_count < 4:
-        raise ValueError("node_count >= 4")
+    if not _is_count(node_count, 4):
+        raise ValueError("node_count >= 4 and integral")
     angle = 2.0 * np.pi * np.arange(node_count, dtype=np.float64) / node_count
     nodes = radius * np.stack([np.cos(angle), np.sin(angle)], axis=1)
     return CurveState(nodes)

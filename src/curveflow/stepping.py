@@ -45,9 +45,9 @@ from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchma
 
 FloatArray = NDArray[np.float64]
 
-#: A run is flagged extinct when the total length falls below this multiple
-#: of the degeneracy threshold.
-EXTINCTION_LENGTH_FACTOR = 100.0
+#: A run is flagged extinct when the total length falls below this, 100
+#: times the degeneracy threshold.
+EXTINCTION_LENGTH = 100.0 * EPSILON_GEOM
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class SolverConfig:
     t_final: float
     tau: float = 1e-4
     snapshot_every: int = 100
-    epsilon_geom: float = EPSILON_GEOM
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
@@ -70,8 +69,6 @@ class SolverConfig:
             raise ValueError("t_final >= 0")
         if not (isinstance(self.snapshot_every, int) and self.snapshot_every >= 1):
             raise ValueError("snapshot_every >= 1")
-        if not (np.isfinite(self.epsilon_geom) and self.epsilon_geom > 0):
-            raise ValueError("epsilon_geom > 0")
 
 
 class DiagnosticsRow(NamedTuple):
@@ -195,12 +192,12 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     """Advance the curve by one semi-implicit backward-Euler step.
 
     Geometry is recomputed from the input curve; raises
-    DegenerateSegmentError when a segment is below config.epsilon_geom and
+    DegenerateSegmentError when a segment is below EPSILON_GEOM (1e-12) and
     LinearSolverError when the implicit solve fails.
     """
     nodes = curve.nodes
     m = nodes.shape[0]
-    geo = _node_geometry(nodes, config.epsilon_geom)
+    geo = _node_geometry(nodes, EPSILON_GEOM)
     d, span, normal, kappa = geo.d, geo.span, geo.normal, geo.kappa
     # _diagnostics_row passes the same arrays, so it records the applied F bitwise
     force = forcing_value(config.model, kappa, span, normal.T)
@@ -266,7 +263,7 @@ def evolve(
 
     Snapshots and diagnostics are recorded at t=0, every
     ``config.snapshot_every`` steps, and at the final time.  A run whose
-    total length falls below 100*epsilon_geom terminates cleanly as
+    total length falls below 100*EPSILON_GEOM terminates cleanly as
     ``EXTINCT`` with the extinction time; degenerate-segment and
     linear-solver failures abort the run, keeping the last valid state as
     the final snapshot and naming the failed step and its time in
@@ -288,8 +285,7 @@ def evolve(
             on_record(t, state, row)
 
     record(0.0, initial)
-    extinction_length = EXTINCTION_LENGTH_FACTOR * config.epsilon_geom
-    if initial.length < extinction_length:
+    if initial.length < EXTINCTION_LENGTH:
         trajectory.status = TrajectoryStatus.EXTINCT
         trajectory.extinction_time = 0.0
         return trajectory
@@ -310,7 +306,7 @@ def evolve(
                 record((k - 1) * config.tau, state)
             return trajectory
 
-        extinct = state.length < extinction_length
+        extinct = state.length < EXTINCTION_LENGTH
         if extinct or k % config.snapshot_every == 0 or k == n_steps:
             record(t, state)
             recorded_step = k

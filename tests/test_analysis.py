@@ -150,7 +150,7 @@ class TestConvergenceStudy:
     def test_tracks_circle_radius_oracle(self, convergence_report):
         # finest run: radius error against sqrt(1-2t) stays below 5e-3 to t=0.45
         finest = convergence_report.records[-1]
-        assert finest.tau == pytest.approx(1e-5)
+        assert finest.config.tau == pytest.approx(1e-5)
         worst = 0.0
         for t, state in finest.trajectory.snapshots:
             if t > 0.45:

@@ -10,6 +10,7 @@ from curveflow import (
     ConfigError,
     CurveState,
     FlowLaw,
+    LinearSolverError,
     build_circle,
     build_radial_curve,
     discrete_curvature,
@@ -37,11 +38,8 @@ t_final = 0.5
 class TestParseConfig:
     def test_full_example(self):
         spec = parse_config(EX2_CONFIG)
-        assert spec.curve == "radial"
-        assert spec.folds == 5
-        assert spec.amplitude == 0.65
+        assert np.array_equal(spec.initial.nodes, build_radial_curve(5, 0.65, 200).nodes)
         assert spec.config.model.law is FlowLaw.AREA_PRESERVING
-        assert spec.nodes == 200
         assert spec.config.t_final == 0.5
         # documented defaults
         assert spec.config.tau == 1e-4
@@ -49,9 +47,9 @@ class TestParseConfig:
         assert spec.out_dir == "out"
 
     def test_circle_defaults(self):
+        # radius 1 and 200 nodes, the defaults of build_circle
         spec = parse_config("curve = circle\nmodel = csf\nt_final = 1\n")
-        assert spec.radius == 1.0
-        assert spec.nodes == 200
+        assert np.array_equal(spec.initial.nodes, build_circle(1.0, 200).nodes)
 
     def test_constant_force_round_trip(self):
         spec = parse_config(
@@ -99,7 +97,7 @@ class TestParseConfig:
 
     def test_comments_and_blank_lines_ignored(self):
         spec = parse_config("# heading\n\ncurve = circle # trailing\nmodel = csf\nt_final = 1\n")
-        assert spec.curve == "circle"
+        assert np.array_equal(spec.initial.nodes, build_circle().nodes)
 
 
 def _per_row_snapshot(t, curve, kappa):
@@ -385,3 +383,19 @@ class TestStudySubcommands:
         assert "curvature_vs_node_count" in out
         assert (run_dir / "cv-out" / "curvature_error_vs_nodes.csv").exists()
         assert (run_dir / "cv-out" / "extinction_time_error_vs_tau.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["examples", "--nodes", "100", "--tau", "5e-4"],
+            ["convergence", "--base-tau", "1.6e-4"],
+        ],
+        ids=["examples", "convergence"],
+    )
+    def test_aborted_study_exits_2(self, run_dir, monkeypatch, capsys, argv):
+        def failing_step(curve, config):
+            raise LinearSolverError("injected failure")
+
+        monkeypatch.setattr(stepping, "step", failing_step)
+        assert run_cli(argv + ["--out-dir", "abort-out"]) == 2
+        assert "at least one study aborted" in capsys.readouterr().err

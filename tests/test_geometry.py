@@ -96,6 +96,15 @@ class TestBuilders:
             build_radial_curve(4, 0.4, 3)
         with pytest.raises(ValueError):
             build_radial_curve(0, 0.4, 100)
+        # a fractional node count is no polygon; a bool is no count
+        for node_count in (4.5, 10.5, True):
+            with pytest.raises(ValueError, match="node_count >= 4 and integral"):
+                build_circle(1.0, node_count)
+            with pytest.raises(ValueError, match="node_count >= 4 and integral"):
+                build_radial_curve(3, 0.2, node_count)
+        # numpy integers are counts
+        assert build_circle(1.0, np.int64(8)).node_count == 8
+        assert build_radial_curve(3, 0.2, np.int64(10)).node_count == 10
         # a fractional folds does not close the curve; a bool is no count
         for folds in (2.5, True):
             with pytest.raises(ValueError, match="folds"):

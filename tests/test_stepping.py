@@ -97,8 +97,6 @@ class TestSolverConfig:
             SolverConfig(model=model, t_final=-1.0)
         with pytest.raises(ValueError, match="snapshot_every"):
             SolverConfig(model=model, t_final=1.0, snapshot_every=0)
-        with pytest.raises(ValueError, match="epsilon_geom"):
-            SolverConfig(model=model, t_final=1.0, epsilon_geom=0.0)
 
 
 class TestStep:
@@ -184,10 +182,11 @@ class TestStep:
         assert trajectory.snapshots[0][1] is curve
 
     def test_degenerate_segment_aborts(self):
-        square = CurveState(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
-        config = SolverConfig(
-            model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4, epsilon_geom=2.0
+        # the unit square with a node 5e-13 from a corner, below the 1e-12 threshold
+        square = CurveState(
+            np.array([(0.0, 0.0), (5e-13, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         )
+        config = SolverConfig(model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
         with pytest.raises(DegenerateSegmentError):
             step(square, config)
 
@@ -229,14 +228,12 @@ class TestEvolve:
         assert trajectory.diagnostics[-1].length < 1e-10
 
     def test_immediate_abort_keeps_initial_snapshot(self):
-        # one segment below epsilon_geom, total length far above the
+        # one segment below the 1e-12 threshold, total length far above the
         # extinction threshold: the first step must abort
         pinched = CurveState(
-            np.array([(0.0, 0.0), (1e-4, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+            np.array([(0.0, 0.0), (5e-13, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         )
-        config = SolverConfig(
-            model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4, epsilon_geom=1e-3
-        )
+        config = SolverConfig(model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
         trajectory = evolve(pinched, config)
         assert trajectory.status is TrajectoryStatus.ABORTED
         assert "segment" in trajectory.error
@@ -245,7 +242,7 @@ class TestEvolve:
 
     def test_mid_run_abort_records_last_valid_state(self):
         # the shrink-to-point endgame at tau=1e-4 lands inside the window
-        # where a segment is below epsilon_geom while the total length is
+        # where a segment is below 1e-12 while the total length is
         # still above the extinction threshold
         config = SolverConfig(
             model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4, snapshot_every=5000
