@@ -369,7 +369,9 @@ def _write_report(report: StudyReport, out_dir: Path) -> None:
 
 
 def _cmd_study(args) -> int:
-    report = args.study(args)
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("command", "handler", "study", "out_dir")}
+    report = args.study(**given)
     _write_report(report, Path(args.out_dir))
     for line in _report_lines(report):
         print(line)
@@ -395,25 +397,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--tau", type=float, default=1e-5, help="time step (default 1e-5)")
     p_oracle.set_defaults(handler=_cmd_oracle)
 
+    # a study flag left out stays out of the namespace, so the study's own
+    # signature holds every default
     p_examples = sub.add_parser("examples", help="run the bundled reference studies")
-    p_examples.add_argument("--nodes", type=int, default=200)
-    p_examples.add_argument("--tau", type=float, default=1e-4)
+    p_examples.add_argument("--nodes", dest="node_count", metavar="NODES", type=int,
+                            default=argparse.SUPPRESS)
+    p_examples.add_argument("--tau", type=float, default=argparse.SUPPRESS)
     p_examples.add_argument("--out-dir", default="examples-out")
-    p_examples.set_defaults(
-        handler=_cmd_study, study=lambda a: run_reference_studies(node_count=a.nodes, tau=a.tau)
-    )
+    p_examples.set_defaults(handler=_cmd_study, study=run_reference_studies)
 
     p_conv = sub.add_parser("convergence", help="spatial/temporal refinement study")
-    p_conv.add_argument("--base-nodes", type=int, default=50)
-    p_conv.add_argument("--base-tau", type=float, default=4e-5)
-    p_conv.add_argument("--levels", type=int, default=3)
+    p_conv.add_argument("--base-nodes", dest="base_node_count", metavar="BASE_NODES", type=int,
+                        default=argparse.SUPPRESS)
+    p_conv.add_argument("--base-tau", type=float, default=argparse.SUPPRESS)
+    p_conv.add_argument("--levels", type=int, default=argparse.SUPPRESS)
     p_conv.add_argument("--out-dir", default="convergence-out")
-    p_conv.set_defaults(
-        handler=_cmd_study,
-        study=lambda a: convergence_study(
-            base_node_count=a.base_nodes, base_tau=a.base_tau, levels=a.levels
-        ),
-    )
+    p_conv.set_defaults(handler=_cmd_study, study=convergence_study)
     return parser
 
 

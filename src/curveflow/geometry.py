@@ -40,13 +40,6 @@ def _is_count(value, least: int) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
 
 
-def _shoelace(prev: FloatArray, edge: FloatArray) -> float:
-    """Signed area sum_i (X_{i-1} - X_0) x (X_i - X_{i-1}) / 2 from the (M, 2)
-    rows ``prev`` = X_{i-1} - X_0 and ``edge`` = X_i - X_{i-1}.  Taken about
-    X_0, a tiny curve away from the origin keeps the sign of its area."""
-    return 0.5 * float(np.dot(prev[:, 0], edge[:, 1]) - np.dot(prev[:, 1], edge[:, 0]))
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class CurveState:
     """Immutable closed polygon of M >= 4 planar nodes, cyclically indexed.
@@ -61,25 +54,31 @@ class CurveState:
     nodes: FloatArray
     length: float = field(init=False, repr=False)
     area: float = field(init=False, repr=False)
+    # (edge, gaps) of the validation pass, used once by the next step
+    _pass: tuple[FloatArray, FloatArray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=np.float64, order="C")
-        nodes.flags.writeable = False
+        nodes = np.asarray(self.nodes, dtype=np.float64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("nodes must have shape (M, 2)")
         if nodes.shape[0] < 4:
             raise ValueError("a closed curve needs at least 4 nodes")
-        if not np.isfinite(nodes).all():
+        rows = np.array(nodes.T, order="C")  # x and y rows, a copy of the input
+        rows.flags.writeable = False
+        if not np.isfinite(rows).all():
             raise ValueError("nodes contain non-finite values")
-        prev = np.roll(nodes, 1, axis=0)
-        edge = nodes - prev
-        gaps = np.hypot(edge[:, 0], edge[:, 1])
+        prev = np.roll(rows, 1, axis=1)
+        edge = rows - prev
+        gaps = np.hypot(edge[0], edge[1])
         if not gaps.all():
             raise ValueError("consecutive nodes must be distinct")
-        area = _shoelace(prev - nodes[0], edge)
+        # shoelace sum_i (X_{i-1} - X_0) x (X_i - X_{i-1}) / 2; taken about X_0,
+        # a tiny curve away from the origin keeps the sign of its area
+        prev -= rows[:, :1]
+        area = 0.5 * float(np.dot(prev[0], edge[1]) - np.dot(prev[1], edge[0]))
         if area == 0.0:
             raise ValueError("curve has zero signed area; orientation undefined")
-        fields = dict(nodes=nodes, length=float(gaps.sum()), area=area)
+        fields = dict(nodes=rows.T, length=float(gaps.sum()), area=area, _pass=(edge, gaps))
         for name, value in fields.items():  # frozen: past the dataclass __setattr__
             object.__setattr__(self, name, value)
 
@@ -170,27 +169,36 @@ class _NodeGeometry(NamedTuple):
     kappa: FloatArray  # -k_i . N_i
 
 
-def _node_geometry(nodes: FloatArray, epsilon: float = 0.0) -> _NodeGeometry:
-    """Every per-node quantity of the scheme, each computed once.
+def _node_geometry(
+    rows: FloatArray, epsilon: float = 0.0, edge_pass: tuple | None = None
+) -> _NodeGeometry:
+    """Every per-node quantity of the scheme, each computed once, from the
+    (2, M) node rows.
 
-    The chord X_{i+1} - X_{i-1} is the sum of the edges entering and leaving
+    ``edge_pass`` is a ``CurveState``'s (edge, gaps) pass over these rows,
+    X_i - X_{i-1} and its length; without it the pass is recomputed.  The
+    chord X_{i+1} - X_{i-1} is the sum of the edges entering and leaving
     node i.  Raises DegenerateSegmentError when a segment is shorter than
     ``epsilon``.
     """
-    xy = nodes.T
-    padded = np.concatenate((xy[:, -1:], xy, xy[:, :1]), axis=1)
-    edge = padded[:, 1:] - padded[:, :-1]  # X_i - X_{i-1}, i = 0..M; index M repeats 0
-    lengths = np.hypot(edge[0], edge[1])
+    if edge_pass is None:
+        edge = rows - np.concatenate((rows[:, -1:], rows[:, :-1]), axis=1)
+        edge_pass = edge, np.hypot(edge[0], edge[1])
+    edge, lengths = edge_pass
     if lengths.min() < epsilon:
         raise DegenerateSegmentError(
             f"segment length {lengths.min():.3e} below threshold {epsilon:.3e}"
         )
+    edge = np.concatenate((edge, edge[:, :1]), axis=1)  # index M repeats 0
+    lengths = np.concatenate((lengths, lengths[:1]))
     tangent = edge / lengths
     span = lengths[:-1] + lengths[1:]
     curvature_vec = 2.0 * (tangent[:, 1:] - tangent[:, :-1]) / span
     chord = edge[:, :-1] + edge[:, 1:]
-    normal = np.array((chord[1], -chord[0])) / span
-    kappa = -(curvature_vec[0] * normal[0] + curvature_vec[1] * normal[1])
+    normal = chord[::-1] / span  # (chord_y, -chord_x) / span
+    normal[1] *= -1.0
+    product = curvature_vec * normal
+    kappa = -(product[0] + product[1])
     return _NodeGeometry(
         lengths[:-1], lengths[1:], span, tangent[:, :-1], curvature_vec, normal, kappa
     )
@@ -201,7 +209,7 @@ def segment_lengths(curve: CurveState, epsilon: float = EPSILON_GEOM) -> FloatAr
 
     Raises DegenerateSegmentError if any length falls below ``epsilon``.
     """
-    return _node_geometry(curve.nodes, epsilon).d
+    return _node_geometry(curve.nodes.T, epsilon).d
 
 
 def discrete_curvature(curve: CurveState) -> FloatArray:
@@ -216,4 +224,4 @@ def discrete_curvature(curve: CurveState) -> FloatArray:
     cos(pi/M)/R at every node.  Defined for every valid curve, however short
     its segments; the stepper applies its own degeneracy threshold.
     """
-    return _node_geometry(curve.nodes).kappa
+    return _node_geometry(curve.nodes.T).kappa

@@ -191,13 +191,17 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_pair, rhs) -> FloatArray:
 def step(curve: CurveState, config: SolverConfig) -> CurveState:
     """Advance the curve by one semi-implicit backward-Euler step.
 
-    Geometry is recomputed from the input curve; raises
-    DegenerateSegmentError when a segment is below EPSILON_GEOM (1e-12) and
-    LinearSolverError when the implicit solve fails.
+    The geometry starts from the edges the input's validation computed, or
+    recomputes them if a step has used them; raises DegenerateSegmentError
+    when a segment is below EPSILON_GEOM (1e-12) and LinearSolverError when
+    the implicit solve fails.
     """
-    nodes = curve.nodes
-    m = nodes.shape[0]
-    geo = _node_geometry(nodes, EPSILON_GEOM)
+    rows = curve.nodes.T
+    m = rows.shape[1]
+    # the pass serves one step only, so recorded states keep no per-node arrays
+    edge_pass = curve._pass
+    object.__setattr__(curve, "_pass", None)
+    geo = _node_geometry(rows, EPSILON_GEOM, edge_pass)
     d, span, normal, kappa = geo.d, geo.span, geo.normal, geo.kappa
     # _diagnostics_row passes the same arrays, so it records the applied F bitwise
     force = forcing_value(config.model, kappa, span, normal.T)
@@ -206,7 +210,8 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     # relax the spacing toward L/M at the rate <kappa^2>
     velocity = geo.curvature_vec + force * normal
     jump = velocity - np.concatenate((velocity[:, -1:], velocity[:, :-1]), axis=1)
-    rate = jump[0] * geo.tangent[0] + jump[1] * geo.tangent[1]
+    jump *= geo.tangent
+    rate = jump[0] + jump[1]
     length = curve.length
     relax = float(np.dot(kappa * kappa, span)) / (2.0 * length)
     drift = float(rate.sum()) / length - relax
@@ -230,7 +235,7 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
 
     work = np.empty((3, m))
     np.multiply(normal, tau * force, out=work[:2])
-    work[:2] += nodes.T
+    work[:2] += rows
     solution = _solve_cyclic(bands, work, lower[0], upper[-1])
     try:
         return CurveState(solution.T)
@@ -241,7 +246,7 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
 def _diagnostics_row(t: float, curve: CurveState, model: FlowModel) -> DiagnosticsRow:
     # Tolerant recording path: must not raise even for near-extinct or
     # clockwise states, hence the |area| in the isoperimetric ratio.
-    geo = _node_geometry(curve.nodes)
+    geo = _node_geometry(curve.nodes.T)
     d, length, area = geo.d, curve.length, curve.area
     return DiagnosticsRow(
         t=t,

@@ -13,10 +13,12 @@ from curveflow import (
     LinearSolverError,
     build_circle,
     build_radial_curve,
+    cli,
     discrete_curvature,
     segment_lengths,
     stepping,
 )
+from curveflow.analysis import StudyReport
 from curveflow.cli import (
     SUMMARY_HEADER,
     parse_config,
@@ -399,3 +401,32 @@ class TestStudySubcommands:
         monkeypatch.setattr(stepping, "step", failing_step)
         assert run_cli(argv + ["--out-dir", "abort-out"]) == 2
         assert "at least one study aborted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, study, given",
+        [
+            (["examples"], "run_reference_studies", {}),
+            (["examples", "--nodes", "100"], "run_reference_studies", {"node_count": 100}),
+            (["examples", "--tau", "5e-4"], "run_reference_studies", {"tau": 5e-4}),
+            (["convergence"], "convergence_study", {}),
+            (
+                ["convergence", "--base-nodes", "40", "--base-tau", "1e-4", "--levels", "4"],
+                "convergence_study",
+                {"base_node_count": 40, "base_tau": 1e-4, "levels": 4},
+            ),
+        ],
+    )
+    def test_defaults_come_from_the_library(self, run_dir, monkeypatch, capsys, argv, study,
+                                            given):
+        # a flag left out must reach the study as a missing keyword, so the
+        # study's signature is the only copy of its default
+        calls = []
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return StudyReport(records=[])
+
+        monkeypatch.setattr(cli, study, recording)
+        assert run_cli(argv + ["--out-dir", "defaults-out"]) == 0
+        capsys.readouterr()
+        assert calls == [given]

@@ -70,6 +70,24 @@ class TestCurveState:
         with pytest.raises(Exception):
             curve.nodes = np.zeros((4, 2))
 
+    def test_layout(self):
+        # held as contiguous x/y rows; .nodes is a read-only (M, 2) view of them
+        source = build_radial_curve(5, 0.65, 50).nodes.copy()
+        curve = CurveState(source)
+        assert curve.nodes.shape == (50, 2)
+        assert curve.nodes.tobytes() == source.tobytes()
+        assert not curve.nodes.flags.writeable
+        assert curve.nodes.T.flags.c_contiguous
+
+    def test_input_is_copied(self):
+        source = build_radial_curve(5, 0.65, 50).nodes.copy()
+        kept = source.copy()
+        curve = CurveState(source)
+        length, area = curve.length, curve.area
+        source[3] = (7.0, -7.0)
+        assert curve.nodes.tobytes() == kept.tobytes()
+        assert (curve.length, curve.area) == (length, area)
+
 
 class TestBuilders:
     def test_radial_nodes_on_polar_graph(self):

@@ -191,6 +191,40 @@ class TestStep:
             step(square, config)
 
 
+class TestEdgePassHandOff:
+    """``step`` takes the edges and lengths its input's validation computed,
+    once; no trajectory may depend on whether it had them."""
+
+    CONFIG = SolverConfig(FlowModel.area_preserving(), t_final=0.01, tau=1e-4, snapshot_every=10)
+
+    def test_stepping_a_state_twice_is_bitwise_equal(self):
+        curve = build_radial_curve(5, 0.65, 200)
+        assert curve._pass is not None
+        first = step(curve, self.CONFIG)
+        assert curve._pass is None
+        second = step(curve, self.CONFIG)  # recomputes the pass
+        assert first.nodes.tobytes() == second.nodes.tobytes()
+        assert (first.length, first.area) == (second.length, second.area)
+
+    def test_evolve_from_a_used_state_is_bitwise_equal(self):
+        nodes = build_radial_curve(10, 0.45, 200).nodes
+        fresh = evolve(CurveState(nodes), self.CONFIG)
+        used = CurveState(nodes)
+        step(used, self.CONFIG)
+        assert used._pass is None
+        again = evolve(used, self.CONFIG)
+        assert fresh.final_state.nodes.tobytes() == again.final_state.nodes.tobytes()
+        assert np.array(fresh.diagnostics).tobytes() == np.array(again.diagnostics).tobytes()
+
+    def test_recorded_states_keep_no_pass(self):
+        # retained records hold no per-node arrays beyond their nodes
+        trajectory = evolve(build_radial_curve(5, 0.65, 200), self.CONFIG)
+        states = [state for _, state in trajectory.snapshots]
+        assert len(states) == 11
+        assert all(state._pass is None for state in states[:-1])
+        assert states[-1]._pass is not None
+
+
 class TestEvolve:
     def test_zero_final_time_returns_input(self):
         curve = build_radial_curve(4, 0.4, 64)
