@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .flows import FlowLaw, FlowModel
 from .geometry import (
@@ -26,9 +25,17 @@ from .geometry import (
 )
 from .stepping import SolverConfig, Trajectory, evolve
 
-#: Radius below which the constant-force ODE integration counts as extinct
-#: (remaining lifetime from here is ~ r^2/2, far below any tolerance used).
-_RADIUS_FLOOR = 1e-6
+
+def _scaled_g(x: float) -> float:
+    """G(x) / x^2 for G(x) = -(log|1-x| + x) = sum_{k>=2} x^k/k, by series at |x| < 1/2."""
+    if abs(x) >= 0.5:
+        return -((np.log1p(-x) if x < 1.0 else np.log(x - 1.0)) + x) / (x * x)
+    total, power, k = 0.5, 1.0, 2
+    while abs(power) > 1e-17:
+        power *= x
+        k += 1
+        total += power / k
+    return total
 
 
 @dataclass(frozen=True)
@@ -49,20 +56,18 @@ class CircleOracle:
         if law is FlowLaw.AREA_PRESERVING:
             return None
         f0 = self.model.force
-        if f0 == 0.0:
-            return 0.5 * r0 * r0
         if f0 * r0 >= 1.0:
             return None  # stationary at r0 = 1/f0, growing beyond
         # closed form of int_0^{r0} r/(1 - f0*r) dr
-        return -(np.log1p(-f0 * r0) + f0 * r0) / (f0 * f0)
+        return r0 * r0 * _scaled_g(f0 * r0)
 
 
 def circle_radius(oracle: CircleOracle, t: float) -> float | None:
     """Radius of the oracle circle at time t, or None once extinct.
 
     Curve shortening uses the closed form sqrt(r0^2 - 2t); the
-    area-preserving circle is stationary; a nonzero constant force
-    integrates dr/dt = F0 - 1/r with a high-accuracy ODE solver.
+    area-preserving circle is stationary; a nonzero constant force F
+    inverts the exact elapsed time of dr/dt = F - 1/r by bisection.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("t must be >= 0")
@@ -74,27 +79,20 @@ def circle_radius(oracle: CircleOracle, t: float) -> float | None:
     if f0 == 0.0:
         r_squared = r0 * r0 - 2.0 * t
         return float(np.sqrt(r_squared)) if r_squared > 0.0 else None
-    if t == 0.0:
-        return r0
-
-    # integrate u = r^2: du/dt = 2*(F*sqrt(u) - 1) stays finite through
-    # extinction, where dr/dt = F - 1/r blows up
-    def rate(_t, u):
-        return 2.0 * (f0 * np.sqrt(max(u[0], 0.0)) - 1.0)
-
-    def vanished(_t, u):
-        return u[0] - _RADIUS_FLOOR**2
-
-    vanished.terminal = True
-    result = solve_ivp(
-        rate, (0.0, t), [r0 * r0], method="DOP853", rtol=1e-12, atol=1e-14,
-        events=vanished,
-    )
-    if result.t_events[0].size > 0:
+    if (t_extinct := oracle.extinction_time()) is not None and t >= t_extinct:
         return None
-    if not result.success:
-        raise RuntimeError(f"circle oracle integration failed: {result.message}")
-    return float(np.sqrt(max(result.y[0, -1], 0.0)))
+    if t == 0.0 or f0 * r0 == 1.0:
+        return r0
+    # t(r) = r0^2 g(F r0) - r^2 g(F r) is monotone on r0's side of 1/F;
+    # t(near) <= t < t(far), and dr/dt < F bounds a growing circle
+    scaled_r0 = r0 * r0 * _scaled_g(f0 * r0)
+    near, far = r0, (0.0 if f0 * r0 < 1.0 else r0 + f0 * t)
+    while (mid := 0.5 * (near + far)) not in (near, far):
+        if scaled_r0 - mid * mid * _scaled_g(f0 * mid) <= t:
+            near = mid
+        else:
+            far = mid
+    return float(near)
 
 
 @dataclass

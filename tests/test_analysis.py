@@ -6,10 +6,13 @@ import pytest
 from curveflow import (
     CircleOracle,
     FlowModel,
+    SolverConfig,
     TrajectoryStatus,
+    build_circle,
     circle_radius,
     convergence_study,
     discrete_curvature,
+    evolve,
 )
 from curveflow.analysis import nonconvex_fixture
 
@@ -78,6 +81,59 @@ class TestCircleOracle:
         assert r > 1.0
         assert implicit_time_of_radius(r, 1.0, 2.0) == pytest.approx(0.3, abs=1e-8)
         assert oracle.extinction_time() is None
+
+    @pytest.mark.parametrize(
+        "force, times",
+        [(0.5, (0.05, 0.2, 0.5, 0.7, 0.77)), (2.0, (0.1, 0.3, 1.0, 3.0)), (-1.0, (0.05, 0.2, 0.3))],
+        ids=["shrinking", "growing", "negative"],
+    )
+    def test_constant_force_radius_to_full_precision(self, force, times):
+        oracle = CircleOracle(1.0, FlowModel.constant_force(force))
+        for t in times:
+            r = circle_radius(oracle, t)
+            assert implicit_time_of_radius(r, 1.0, force) == pytest.approx(t, rel=1e-12)
+
+    def test_constant_force_equilibrium_is_exact(self):
+        oracle = CircleOracle(0.5, FlowModel.constant_force(2.0))
+        for t in (1e-3, 0.5, 3.0):
+            assert circle_radius(oracle, t) == 0.5
+
+    @pytest.mark.parametrize("force", [0.5, -1.0, 1e-9])
+    def test_constant_force_extinct_exactly_from_extinction_time(self, force):
+        oracle = CircleOracle(1.0, FlowModel.constant_force(force))
+        t_extinct = oracle.extinction_time()
+        assert circle_radius(oracle, np.nextafter(t_extinct, 0.0)) > 0.0
+        assert circle_radius(oracle, t_extinct) is None
+        assert circle_radius(oracle, 1.5 * t_extinct) is None
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-10, -1e-10])
+    def test_small_force_extinction_time_matches_series(self, x):
+        # F = x / r0 exactly; t = r0^2 (1/2 + x/3 + x^2/4 + O(x^3))
+        r0 = 2.0
+        oracle = CircleOracle(r0, FlowModel.constant_force(x / r0))
+        series = r0 * r0 * (0.5 + x / 3.0 + x * x / 4.0)
+        assert oracle.extinction_time() == pytest.approx(series, rel=1e-15)
+
+    def test_extinction_time_increases_with_force_near_zero(self):
+        forces = (-1e-8, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 1e-8)
+        times = [CircleOracle(1.0, FlowModel.constant_force(f)).extinction_time() for f in forces]
+        assert times[3] == 0.5
+        assert all(a < b for a, b in zip(times, times[1:]))
+
+
+class TestStepperAgainstConstantForceOracle:
+    @pytest.mark.parametrize("force", [0.5, 2.0, -1.0])
+    def test_mean_radius_tracks_circle_radius(self, force):
+        model = FlowModel.constant_force(force)
+        config = SolverConfig(model=model, t_final=0.2, tau=1e-4, snapshot_every=100)
+        trajectory = evolve(build_circle(1.0, 200), config)
+        assert trajectory.status is TrajectoryStatus.COMPLETED
+        assert len(trajectory.snapshots) == 21
+        oracle = CircleOracle(1.0, model)
+        for t, state in trajectory.snapshots:
+            nodes = state.nodes
+            mean_radius = np.linalg.norm(nodes - nodes.mean(axis=0), axis=1).mean()
+            assert mean_radius == pytest.approx(circle_radius(oracle, t), abs=1e-3)
 
 
 class TestNonconvexFixture:

@@ -1,6 +1,9 @@
 """The README's documented surface and example config match the package."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,3 +30,18 @@ def test_readme_config_block_parses_to_its_documented_run():
     assert spec.config.tau == 1e-4
     assert spec.config.snapshot_every == 100
     assert spec.out_dir == "out"
+
+
+def test_package_import_loads_no_ode_or_special_function_stack():
+    # a fresh interpreter: the test modules themselves import scipy.integrate
+    probe = (
+        "import sys, curveflow, curveflow.cli; "
+        "print(*[m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+        "if m in sys.modules])"
+    )
+    src = str(Path(curveflow.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == ""
