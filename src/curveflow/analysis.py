@@ -18,6 +18,7 @@ import numpy as np
 from .flows import FlowLaw, FlowModel
 from .geometry import (
     CurveState,
+    _is_count,
     build_circle,
     build_radial_curve,
     discrete_curvature,
@@ -187,7 +188,7 @@ def convergence_study(
     ``CircleOracle``, over time steps base_tau / 2^k.  Fitted log-log
     orders land in ``fitted_orders``; raw errors in ``error_tables``.
     """
-    if levels < 3:
+    if not _is_count(levels, 3):
         raise ValueError("levels >= 3")
     if base_tau >= 0.5:
         raise ValueError("coarsest run is already at extinction (base_tau >= 0.5)")

@@ -46,16 +46,25 @@ from .stepping import (
     evolve,
 )
 
-#: the ``curve`` values and the keys tied to each; any of those keys with
-#: a different ``curve`` value is a configuration error.
-_VARIANT_KEYS = {
-    "radial": {"folds", "amplitude"},
-    "circle": {"radius"},
-    "polyline": {"polyline_path"},
+#: the ``curve`` values, each with its own initial-curve builder
+_CURVES = ("radial", "circle", "polyline")
+
+#: config key -> (value type, the ``curve`` values it applies to; None for
+#: every one); a key given with another ``curve`` value is an error
+_KEYS = {
+    "curve": (str, None),
+    "model": (str, None),
+    "force": (float, None),
+    "tau": (float, None),
+    "t_final": (float, None),
+    "snapshot_every": (int, None),
+    "out_dir": (str, None),
+    "nodes": (int, ("radial", "circle")),
+    "folds": (int, ("radial",)),
+    "amplitude": (float, ("radial",)),
+    "radius": (float, ("circle",)),
+    "polyline_path": (str, ("polyline",)),
 }
-_KNOWN_KEYS = frozenset(
-    {"curve", "model", "force", "nodes", "tau", "t_final", "snapshot_every", "out_dir"}
-).union(*_VARIANT_KEYS.values())
 
 #: constructor parameters whose config key has another name
 _PARAMETER_KEYS = {"node_count": "nodes"}
@@ -81,21 +90,18 @@ class RunSpec:
     out_dir: str = "out"
 
 
-#: config key -> (raw value, line number)
-_Entries = dict[str, tuple[str, int]]
-
-
 def parse_config(text: str, base_dir: Path | None = None) -> RunSpec:
     """Parse and validate the flat ``key = value`` config format.
 
     One assignment per line; '#' starts a comment; unknown and duplicate
-    keys are hard errors.  Raises ConfigError carrying the offending line
+    keys are hard errors, and each value is converted to its key's type as
+    its line is read.  Raises ConfigError carrying the offending line
     number (None for a missing key); a validation error names the violated
     invariant, e.g. ``tau > 0``.  A polyline is read here, a relative path
     resolving against ``base_dir`` (the config file's directory when invoked
     through the CLI).
     """
-    entries: _Entries = {}
+    values, lines = {}, {}  # key -> converted value, key -> line number; in line order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,90 +112,63 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunSpec:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        if key in entries:
+        if key in lines:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        entries[key] = (value, lineno)
-    return _build_run_spec(entries, base_dir)
+        kind = _KEYS[key][0]
+        try:
+            values[key], lines[key] = kind(value), lineno
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {noun}, got {value!r}", lineno) from None
 
+    def required(key: str):
+        if key not in values:
+            raise ConfigError(f"missing required key {key!r}")
+        return values[key]
 
-def _value(entries: _Entries, key: str, kind=str):
-    """A required key's value converted by ``kind`` (str, float or int)."""
-    if key not in entries:
-        raise ConfigError(f"missing required key {key!r}")
-    value, line = entries[key]
-    try:
-        return kind(value)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {noun}, got {value!r}", line) from None
+    def construct(build, *args, names=()):
+        """Call a validating constructor with the ``names`` whose key is given,
+        so every default stays in its signature.  Its ValueError, whose message
+        starts with the violated parameter, becomes a ConfigError on that key's
+        line."""
+        kwargs = {name: values[key] for name in names
+                  if (key := _PARAMETER_KEYS.get(name, name)) in values}
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            message = str(exc)
+            name = message.split()[0].strip("|")
+            key = _PARAMETER_KEYS.get(name, name)
+            raise ConfigError(message.replace(name, key, 1), lines.get(key)) from None
 
-
-def _line(entries: _Entries, key: str) -> int | None:
-    return entries[key][1] if key in entries else None
-
-
-def _present(entries: _Entries, **kinds) -> dict:
-    """Keyword arguments for the parameters whose key is present, so every
-    default stays in the constructor's signature."""
-    keys = {name: _PARAMETER_KEYS.get(name, name) for name in kinds}
-    return {name: _value(entries, keys[name], kind) for name, kind in kinds.items()
-            if keys[name] in entries}
-
-
-def _construct(entries: _Entries, build, *args, **kwargs):
-    """Call a validating constructor.  Its ValueError, whose message starts
-    with the violated parameter, becomes a ConfigError on that key's line."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        message = str(exc)
-        name = message.split()[0].strip("|")
-        key = _PARAMETER_KEYS.get(name, name)
-        raise ConfigError(message.replace(name, key, 1), _line(entries, key)) from None
-
-
-def _build_run_spec(entries: _Entries, base_dir: Path | None) -> RunSpec:
-    curve = _value(entries, "curve")
-    if curve not in _VARIANT_KEYS:
+    curve = required("curve")
+    if curve not in _CURVES:
         raise ConfigError(
-            f"curve must be one of {'|'.join(_VARIANT_KEYS)}, got {curve!r}",
-            _line(entries, "curve"),
+            f"curve must be one of {'|'.join(_CURVES)}, got {curve!r}", lines["curve"]
         )
-    for kind, keys in _VARIANT_KEYS.items():
-        if kind == curve:
-            continue
-        stray = sorted(keys & entries.keys())
-        if stray:
+    for key, lineno in lines.items():
+        if curve not in (_KEYS[key][1] or _CURVES):
             raise ConfigError(
-                f"exactly one initial curve: key {stray[0]!r} does not apply to curve = {curve}",
-                _line(entries, stray[0]),
+                f"exactly one initial curve: {key} does not apply to curve = {curve}", lineno
             )
 
-    model_kind, laws = _value(entries, "model"), [law.value for law in FlowLaw]
+    model_kind, laws = required("model"), [law.value for law in FlowLaw]
     if model_kind not in laws:
         raise ConfigError(
-            f"model must be one of {'|'.join(laws)}, got {model_kind!r}", _line(entries, "model")
+            f"model must be one of {'|'.join(laws)}, got {model_kind!r}", lines["model"]
         )
     law = FlowLaw(model_kind)
     if law is FlowLaw.CONSTANT_FORCE:
-        _value(entries, "force")  # required
-    elif "force" in entries:
-        raise ConfigError("force only applies to model = constant", _line(entries, "force"))
-    model = _construct(entries, FlowModel, law, **_present(entries, force=float))
-    config = _construct(
-        entries, SolverConfig, model, _value(entries, "t_final", float),
-        **_present(entries, tau=float, snapshot_every=int),
-    )
+        required("force")
+    elif "force" in values:
+        raise ConfigError("force only applies to model = constant", lines["force"])
+    model = construct(FlowModel, law, names=("force",))
+    config = construct(SolverConfig, model, required("t_final"), names=("tau", "snapshot_every"))
 
     if curve == "polyline":
-        if "nodes" in entries:
-            raise ConfigError(
-                "nodes does not apply to curve = polyline (the file sets the node count)",
-                _line(entries, "nodes"),
-            )
-        path = Path(base_dir or "", _value(entries, "polyline_path"))
+        path = Path(base_dir or "", required("polyline_path"))
         try:
             initial = read_polyline(path)
         except OSError as exc:
@@ -197,15 +176,12 @@ def _build_run_spec(entries: _Entries, base_dir: Path | None) -> RunSpec:
         except ValueError as exc:
             raise ConfigError(f"invalid polyline file: {exc}") from exc
     elif curve == "radial":
-        initial = _construct(
-            entries, build_radial_curve, _value(entries, "folds", int),
-            _value(entries, "amplitude", float), **_present(entries, node_count=int),
+        initial = construct(
+            build_radial_curve, required("folds"), required("amplitude"), names=("node_count",)
         )
     else:
-        initial = _construct(
-            entries, build_circle, **_present(entries, radius=float, node_count=int)
-        )
-    return RunSpec(config, initial, **_present(entries, out_dir=str))
+        initial = construct(build_circle, names=("radius", "node_count"))
+    return construct(RunSpec, config, initial, names=("out_dir",))
 
 
 def write_snapshot(t: float, curve: CurveState, kappa, path: str | Path) -> None:
@@ -239,8 +215,7 @@ def _cmd_run(args) -> int:
     try:
         text = config_path.read_text()
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"cannot read config: {exc}") from exc
     spec = parse_config(text, config_path.parent)
     out_dir = Path(spec.out_dir)
     summary_path = out_dir / "summary.csv"
@@ -252,24 +227,21 @@ def _cmd_run(args) -> int:
                 stale.unlink()
     except OSError as exc:
         raise CurveFlowError(f"cannot prepare output directory {out_dir}: {exc}") from exc
-    try:
-        summary = open(summary_path, "w")
-    except OSError as exc:
-        raise CurveFlowError(f"cannot write summary {summary_path}: {exc}") from exc
     snapshot_paths = (out_dir / f"snapshot_{index:06d}.dat" for index in itertools.count())
 
     def write_record(t: float, state: CurveState, row: DiagnosticsRow) -> None:
         write_snapshot(t, state, discrete_curvature(state), next(snapshot_paths))
         # a summary line follows its snapshot, so every line on disk has its file
-        try:
-            summary.write(_summary_line(row))
-            summary.flush()
-        except OSError as exc:
-            raise CurveFlowError(f"cannot write summary {summary_path}: {exc}") from exc
+        summary.write(_summary_line(row))
+        summary.flush()
 
-    with summary:
-        summary.write(SUMMARY_HEADER + "\n")
-        trajectory = evolve(spec.initial, spec.config, on_record=write_record)
+    # write_snapshot maps its own OSError, so any OSError here is the summary's
+    try:
+        with open(summary_path, "w") as summary:
+            summary.write(SUMMARY_HEADER + "\n")
+            trajectory = evolve(spec.initial, spec.config, on_record=write_record)
+    except OSError as exc:
+        raise CurveFlowError(f"cannot write summary {summary_path}: {exc}") from exc
     last = trajectory.diagnostics[-1]
     print(
         f"status={trajectory.status.value} t={_fmt(last.t)} length={_fmt(last.length)} "
@@ -278,8 +250,7 @@ def _cmd_run(args) -> int:
     if trajectory.status is TrajectoryStatus.EXTINCT:
         print(f"extinction at t={_fmt(trajectory.extinction_time)}")
     if trajectory.status is TrajectoryStatus.ABORTED:
-        print(f"error: solver aborted: {trajectory.error}", file=sys.stderr)
-        return 2
+        raise CurveFlowError(f"solver aborted: {trajectory.error}")
     return 0
 
 
@@ -293,12 +264,10 @@ def _cmd_oracle(args) -> int:
     )
     trajectory = evolve(circle, config)
     if trajectory.status is not TrajectoryStatus.EXTINCT:
-        print(
-            f"error: shrinking circle did not reach extinction ({trajectory.status.value}:"
-            f" {trajectory.error})",
-            file=sys.stderr,
+        raise CurveFlowError(
+            f"shrinking circle did not reach extinction ({trajectory.status.value}:"
+            f" {trajectory.error})"
         )
-        return 2
     analytic = CircleOracle(1.0, config.model).extinction_time()
     measured = trajectory.extinction_time
     print(f"shrinking unit circle, tau={_fmt(args.tau)}, nodes=200")
@@ -318,46 +287,40 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _report_lines(report: StudyReport) -> list[str]:
-    lines = []
+#: report.csv's columns in order, each with its formatter of a StudyRecord
+_REPORT_COLUMNS = {
+    "name": lambda r: r.name,
+    "nodes": lambda r: str(r.trajectory.snapshots[0][1].node_count),
+    "tau": lambda r: _fmt(r.config.tau),
+    "t_final": lambda r: _fmt(r.config.t_final),
+    "status": lambda r: r.status,
+    "initial_area": lambda r: _fmt(r.initial_area),
+    "final_area": lambda r: _fmt(r.final_area),
+    "area_drift": lambda r: _fmt(r.area_drift),
+    "final_isoperimetric_ratio": lambda r: _fmt(r.final_isoperimetric_ratio),
+    "extinction_time": lambda r: "" if r.extinction_time is None else _fmt(r.extinction_time),
+    "max_uniformity_ratio": lambda r: _fmt(r.max_uniformity_ratio),
+    "elapsed_seconds": lambda r: f"{r.elapsed_seconds:.3f}",
+}
+
+
+def _print_report(report: StudyReport) -> None:
     for r in report.records:
         extinct = "" if r.extinction_time is None else f" extinction_t={_fmt(r.extinction_time)}"
-        lines.append(
+        print(
             f"{r.name}: status={r.status} area {_fmt(r.initial_area)} -> {_fmt(r.final_area)}"
             f" (drift {r.area_drift:.4%}) iso_final={r.final_isoperimetric_ratio:.6f}"
             f" max_uniformity={r.max_uniformity_ratio:.3g}{extinct} [{r.elapsed_seconds:.2f}s]"
         )
     for name, order in report.fitted_orders.items():
-        lines.append(f"fitted order {name}: {order:.3f}")
-    return lines
+        print(f"fitted order {name}: {order:.3f}")
 
 
 def _write_report(report: StudyReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = (
-        "name,nodes,tau,t_final,status,initial_area,final_area,area_drift,"
-        "final_isoperimetric_ratio,extinction_time,max_uniformity_ratio,elapsed_seconds"
-    )
-    rows = [header]
-    for r in report.records:
-        rows.append(
-            ",".join(
-                [
-                    r.name,
-                    str(r.trajectory.snapshots[0][1].node_count),
-                    _fmt(r.config.tau),
-                    _fmt(r.config.t_final),
-                    r.status,
-                    _fmt(r.initial_area),
-                    _fmt(r.final_area),
-                    _fmt(r.area_drift),
-                    _fmt(r.final_isoperimetric_ratio),
-                    "" if r.extinction_time is None else _fmt(r.extinction_time),
-                    _fmt(r.max_uniformity_ratio),
-                    f"{r.elapsed_seconds:.3f}",
-                ]
-            )
-        )
+    rows = [",".join(_REPORT_COLUMNS)] + [
+        ",".join(column(r) for column in _REPORT_COLUMNS.values()) for r in report.records
+    ]
     (out_dir / "report.csv").write_text("\n".join(rows) + "\n")
     for r in report.records:
         run_dir = out_dir / r.name
@@ -373,12 +336,10 @@ def _cmd_study(args) -> int:
              if key not in ("command", "handler", "study", "out_dir")}
     report = args.study(**given)
     _write_report(report, Path(args.out_dir))
-    for line in _report_lines(report):
-        print(line)
+    _print_report(report)
     print(f"report written to {args.out_dir}")
     if any(r.status == TrajectoryStatus.ABORTED.value for r in report.records):
-        print("error: at least one study aborted", file=sys.stderr)
-        return 2
+        raise CurveFlowError("at least one study aborted")
     return 0
 
 

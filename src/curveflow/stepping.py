@@ -40,7 +40,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DegenerateSegmentError, LinearSolverError
 from .flows import FlowModel, forcing_value
-from .geometry import EPSILON_GEOM, CurveState, _node_geometry
+from .geometry import EPSILON_GEOM, CurveState, _is_count, _node_geometry
 from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchmarks/tracer.py)
 
 FloatArray = NDArray[np.float64]
@@ -67,7 +67,7 @@ class SolverConfig:
             raise ValueError("tau > 0")
         if not (np.isfinite(self.t_final) and self.t_final >= 0):
             raise ValueError("t_final >= 0")
-        if not (isinstance(self.snapshot_every, int) and self.snapshot_every >= 1):
+        if not _is_count(self.snapshot_every, 1):
             raise ValueError("snapshot_every >= 1")
 
 
@@ -113,32 +113,35 @@ class Trajectory:
 _DOMINANCE_TOL = 8.0 * np.finfo(np.float64).eps  # relative to the row sums
 
 
-def _check_dominance(abs_diag: FloatArray, off_sum: FloatArray) -> None:
+def _solve_cyclic(lower, diag, upper, work: FloatArray) -> FloatArray:
+    """Solve a dominant cyclic tridiagonal system in place; returns the (k, M) solution.
+
+    Row i couples x_{i-1} by ``lower[i]``, x_i by ``diag[i]`` and x_{i+1} by
+    ``upper[i]``, indices wrapping, so ``lower[0]`` and ``upper[-1]`` are the
+    corners; ``work`` (k+1, M) holds k right-hand sides and a spare row.
+    With A = T + u v^T, u = gamma*e_0 + upper[-1]*e_{M-1} and
+    v = e_0 + (lower[0]/gamma)*e_{M-1}, one banded solve of T gives T^{-1} b
+    and T^{-1} u (in the spare row) together.
+    """
     # Strict dominance up to roundoff of the row sums: rows like 1 + |a| + |c|
     # with |a| ~ 1e16 compute a margin of exactly 0 even though the exact
     # matrix is strictly dominant.
+    abs_diag, off_sum = np.abs(diag), np.abs(lower) + np.abs(upper)
     if not (abs_diag - off_sum > -_DOMINANCE_TOL * (abs_diag + off_sum)).all():
         raise LinearSolverError("matrix is not strictly diagonally dominant")
-
-
-def _solve_cyclic(bands: FloatArray, work: FloatArray, top_right, bottom_left) -> FloatArray:
-    """Solve a dominant cyclic tridiagonal system in place; returns the (k, M) solution.
-
-    ``bands`` (3, M) is in solve_banded layout with the whole diagonal in
-    ``bands[1]``; ``work`` (k+1, M) holds k right-hand sides and a spare row.
-    With A = T + u v^T, u = gamma*e_0 + bottom_left*e_{M-1} and
-    v = e_0 + (top_right/gamma)*e_{M-1}, one banded solve of T gives T^{-1} b
-    and T^{-1} u (in the spare row) together.
-    """
-    gamma = -bands[1, 0]
+    bands = np.empty((3, diag.shape[0]))  # solve_banded layout
+    bands[0, 1:] = upper[:-1]
+    bands[1] = diag
+    bands[2, :-1] = lower[1:]
+    gamma = -diag[0]
     bands[1, 0] -= gamma
-    bands[1, -1] -= top_right * bottom_left / gamma
+    bands[1, -1] -= lower[0] * upper[-1] / gamma
     work[-1] = 0.0
-    work[-1, 0], work[-1, -1] = gamma, bottom_left
+    work[-1, 0], work[-1, -1] = gamma, upper[-1]
     y = solve_banded((1, 1), bands, work.T, overwrite_ab=True, overwrite_b=True,
                      check_finite=False).T
     z = y[-1]
-    ratio = top_right / gamma
+    ratio = lower[0] / gamma
     denom = 1.0 + z[0] + ratio * z[-1]
     if not np.isfinite(denom) or abs(denom) < 1e-300:
         raise LinearSolverError("rank-one correction is singular")
@@ -180,11 +183,9 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_pair, rhs) -> FloatArray:
 
     # row i couples its left neighbour by sub[i-1] (the corner at i = 0)
     # and its right neighbour by sup[i] (the corner at i = M-1)
-    off_sum = np.abs(np.concatenate(([alpha], sub))) + np.abs(np.concatenate((sup, [beta])))
-    _check_dominance(np.abs(diag), off_sum)
-    bands = np.array([np.concatenate(([0.0], sup)), diag, np.concatenate((sub, [0.0]))])
+    lower, upper = np.concatenate(([alpha], sub)), np.concatenate((sup, [beta]))
     work = np.vstack((b.T, np.empty(m)))
-    x = _solve_cyclic(bands, work, alpha, beta).T
+    x = _solve_cyclic(lower, diag, upper, work).T
     return x[:, 0] if single else x
 
 
@@ -227,16 +228,11 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     advect = (tau * alpha) / span
     lower = advect - w_prev
     upper = -w_next - advect
-    bands = np.empty((3, m))
-    bands[1] = 1.0 + w_prev + w_next
-    _check_dominance(bands[1], np.abs(lower) + np.abs(upper))
-    bands[0, 1:] = upper[:-1]
-    bands[2, :-1] = lower[1:]
 
     work = np.empty((3, m))
     np.multiply(normal, tau * force, out=work[:2])
     work[:2] += rows
-    solution = _solve_cyclic(bands, work, lower[0], upper[-1])
+    solution = _solve_cyclic(lower, 1.0 + w_prev + w_next, upper, work)
     try:
         return CurveState(solution.T)
     except ValueError as exc:

@@ -187,6 +187,12 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="levels"):
             convergence_study(levels=2)
 
+    @pytest.mark.parametrize("levels", [3.5, True, 4.0])
+    def test_rejects_a_non_integral_level_count(self, levels):
+        # a ValueError from the check, not a TypeError from range()
+        with pytest.raises(ValueError, match="levels"):
+            convergence_study(levels=levels)
+
     def test_rejects_coarse_tau_at_extinction(self):
         with pytest.raises(ValueError, match="extinction"):
             convergence_study(base_tau=0.6)

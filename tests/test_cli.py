@@ -87,6 +87,13 @@ class TestParseConfig:
             parse_config(text)
         assert caught.value.line == line
 
+    def test_type_errors_come_before_cross_key_checks(self):
+        # each value is converted as its line is read, so a bad integer on
+        # line 2 is reported before the unknown curve on line 1
+        with pytest.raises(ConfigError, match="nodes must be an integer") as caught:
+            parse_config("curve = hexagon\nnodes = x\nmodel = csf\nt_final = 1")
+        assert caught.value.line == 2
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("curve = circle\nmodel = csf\nwhat is this\nt_final = 1")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import curveflow
-from curveflow import build_radial_curve
+from curveflow import build_radial_curve, cli
 from curveflow.cli import parse_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -30,6 +30,14 @@ def test_readme_config_block_parses_to_its_documented_run():
     assert spec.config.tau == 1e-4
     assert spec.config.snapshot_every == 100
     assert spec.out_dir == "out"
+
+
+def test_readme_run_section_names_every_config_key():
+    # from the config paragraph to the next heading
+    section = re.split(r"\n##+ ", README.split("`run` reads a flat", 1)[1], maxsplit=1)[0]
+    missing = [key for key in cli._KEYS
+               if not re.search(rf"^{key} *=|`{key}`", section, re.MULTILINE)]
+    assert missing == []
 
 
 def test_package_import_loads_no_ode_or_special_function_stack():

@@ -98,6 +98,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="snapshot_every"):
             SolverConfig(model=model, t_final=1.0, snapshot_every=0)
 
+    @pytest.mark.parametrize("snapshot_every", [True, 2.0, 2.5])
+    def test_snapshot_every_must_be_an_integer(self, snapshot_every):
+        with pytest.raises(ValueError, match="snapshot_every"):
+            SolverConfig(FlowModel.curve_shortening(), t_final=1.0, snapshot_every=snapshot_every)
+
+    def test_snapshot_every_accepts_a_numpy_integer(self):
+        config = SolverConfig(FlowModel.curve_shortening(), t_final=1e-3, tau=1e-4,
+                              snapshot_every=np.int64(5))
+        assert evolve(build_circle(1.0, 16), config).times == pytest.approx(
+            [0.0, 5e-4, 1e-3]
+        )
+
 
 class TestStep:
     def test_shrinking_polygon_closed_form(self):
@@ -189,6 +201,24 @@ class TestStep:
         config = SolverConfig(model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
         with pytest.raises(DegenerateSegmentError):
             step(square, config)
+
+
+    def test_invalid_solution_aborts_naming_the_step(self, monkeypatch):
+        # a solve that returns two coincident nodes: CurveState rejects the
+        # result, and step reports it as a degenerate segment
+        def coincident(lower, diag, upper, work):
+            work[:2, 1] = work[:2, 0]
+            return work[:2]
+
+        monkeypatch.setattr(stepping, "_solve_cyclic", coincident)
+        curve = build_circle(1.0, 16)
+        config = SolverConfig(FlowModel.curve_shortening(), t_final=1e-3, tau=1e-4)
+        with pytest.raises(DegenerateSegmentError, match="step produced an invalid curve"):
+            step(curve, config)
+        trajectory = evolve(curve, config)
+        assert trajectory.status is TrajectoryStatus.ABORTED
+        assert trajectory.error.startswith("step 1 (t=0.0001): step produced an invalid curve")
+        assert len(trajectory.snapshots) == 1
 
 
 class TestEdgePassHandOff:

@@ -97,6 +97,16 @@ def test_rejects_non_finite_arithmetic():
         )
 
 
+def test_rejects_a_singular_rank_one_correction():
+    # an infinite first diagonal entry passes the dominance check, but the
+    # Sherman-Morrison denominator computes as inf/inf
+    m = 8
+    diag = np.full(m, 4.0)
+    diag[0] = np.inf
+    with pytest.raises(LinearSolverError, match="rank-one correction is singular"):
+        solve_cyclic_tridiagonal(np.ones(m - 1), diag, np.ones(m - 1), (1.0, 1.0), np.ones(m))
+
+
 def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         solve_cyclic_tridiagonal(np.zeros(2), np.ones(3), np.zeros(2), (0.0, 0.0), np.ones(3))
