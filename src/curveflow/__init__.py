@@ -8,7 +8,7 @@ a circle.
 """
 
 from .errors import ConfigError, CurveFlowError, DegenerateSegmentError, LinearSolverError
-from .flows import FlowLaw, FlowModel, forcing_value, nonlocal_force
+from .flows import FlowLaw, FlowModel, forcing_value
 from .geometry import (
     CurveState,
     build_circle,
@@ -51,7 +51,6 @@ __all__ = [
     "discrete_curvature",
     "evolve",
     "forcing_value",
-    "nonlocal_force",
     "read_polyline",
     "run_reference_studies",
     "segment_lengths",

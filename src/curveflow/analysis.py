@@ -19,6 +19,7 @@ from .flows import FlowLaw, FlowModel
 from .geometry import (
     CurveState,
     _is_count,
+    _is_real,
     build_circle,
     build_radial_curve,
     discrete_curvature,
@@ -47,7 +48,7 @@ class CircleOracle:
     model: FlowModel
 
     def __post_init__(self):
-        if not (np.isfinite(self.initial_radius) and self.initial_radius > 0):
+        if not (_is_real(self.initial_radius) and self.initial_radius > 0):
             raise ValueError("initial_radius must be positive")
 
     def extinction_time(self) -> float | None:
@@ -70,7 +71,7 @@ def circle_radius(oracle: CircleOracle, t: float) -> float | None:
     area-preserving circle is stationary; a nonzero constant force F
     inverts the exact elapsed time of dr/dt = F - 1/r by bisection.
     """
-    if not (np.isfinite(t) and t >= 0):
+    if not (_is_real(t) and t >= 0):
         raise ValueError("t must be >= 0")
     r0 = oracle.initial_radius
     law = oracle.model.law
@@ -177,6 +178,20 @@ def _fit_order(x: list[float], err: list[float]) -> float:
     return float(slope)
 
 
+def circle_extinction(tau: float) -> tuple[StudyRecord, float, float | None]:
+    """The unit circle's regular 200-gon under curve shortening over [0, 1] at
+    time step ``tau``: its study record, the exact extinction time 1/2 from
+    ``CircleOracle`` and the measured time's error against it (None if the
+    run did not reach extinction)."""
+    csf = FlowModel.curve_shortening()
+    config = SolverConfig(csf, t_final=1.0, tau=tau, snapshot_every=2000)
+    record = _run_study(f"circle-extinction-tau-{tau:g}", build_circle(1.0, 200), config)
+    exact = CircleOracle(1.0, csf).extinction_time()
+    if record.extinction_time is None:
+        return record, exact, None
+    return record, exact, abs(record.extinction_time - exact)
+
+
 def convergence_study(
     base_node_count: int = 50, base_tau: float = 4e-5, levels: int = 3
 ) -> StudyReport:
@@ -184,9 +199,9 @@ def convergence_study(
 
     Spatial: discrete curvature error max|kappa - 1| over node counts
     base_node_count * 2^k.  Temporal: extinction-time error of the
-    shrinking 200-gon, against the unit circle's exact t* = 1/2 from
-    ``CircleOracle``, over time steps base_tau / 2^k.  Fitted log-log
-    orders land in ``fitted_orders``; raw errors in ``error_tables``.
+    shrinking 200-gon (``circle_extinction``) over time steps base_tau / 2^k.
+    Fitted log-log orders land in ``fitted_orders``; raw errors in
+    ``error_tables``.
     """
     if not _is_count(levels, 3):
         raise ValueError("levels >= 3")
@@ -199,17 +214,14 @@ def convergence_study(
         kappa = discrete_curvature(build_circle(1.0, m))
         curvature_errors.append((float(m), float(np.max(np.abs(kappa - 1.0)))))
 
-    csf = FlowModel.curve_shortening()
-    exact = CircleOracle(1.0, csf).extinction_time()
     records = []
     extinction_errors = []
     for k in range(levels):
         tau = base_tau / 2**k
-        config = SolverConfig(csf, t_final=1.0, tau=tau, snapshot_every=2000)
-        record = _run_study(f"circle-extinction-tau-{tau:g}", build_circle(1.0, 200), config)
+        record, _, error = circle_extinction(tau)
         records.append(record)
-        if record.extinction_time is not None:
-            extinction_errors.append((tau, abs(record.extinction_time - exact)))
+        if error is not None:
+            extinction_errors.append((tau, error))
 
     fitted = {
         "curvature_vs_node_count": -_fit_order(*zip(*curvature_errors)),

@@ -24,12 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    CircleOracle,
-    StudyReport,
-    convergence_study,
-    run_reference_studies,
-)
+from .analysis import StudyReport, circle_extinction, convergence_study, run_reference_studies
 from .errors import ConfigError, CurveFlowError
 from .flows import FlowLaw, FlowModel
 from .geometry import (
@@ -255,27 +250,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    circle = build_circle(1.0, 200)
-    config = SolverConfig(
-        model=FlowModel.curve_shortening(),
-        t_final=1.0,
-        tau=args.tau,
-        snapshot_every=2000,
-    )
-    trajectory = evolve(circle, config)
-    if trajectory.status is not TrajectoryStatus.EXTINCT:
+    record, analytic, error = circle_extinction(args.tau)
+    if error is None:
         raise CurveFlowError(
-            f"shrinking circle did not reach extinction ({trajectory.status.value}:"
-            f" {trajectory.error})"
+            f"shrinking circle did not reach extinction ({record.status}:"
+            f" {record.trajectory.error})"
         )
-    analytic = CircleOracle(1.0, config.model).extinction_time()
-    measured = trajectory.extinction_time
     print(f"shrinking unit circle, tau={_fmt(args.tau)}, nodes=200")
-    print(f"extinction time: measured={_fmt(measured)} analytic={_fmt(analytic)}")
-    print(f"extinction-time error: {_fmt(abs(measured - analytic))}")
+    print(f"extinction time: measured={_fmt(record.extinction_time)} analytic={_fmt(analytic)}")
+    print(f"extinction-time error: {_fmt(error)}")
 
     stationary = evolve(
-        circle,
+        build_circle(1.0, 200),
         SolverConfig(
             model=FlowModel.area_preserving(), t_final=0.1, tau=1e-4, snapshot_every=200
         ),

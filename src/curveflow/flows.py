@@ -10,9 +10,12 @@ different forcing terms F:
                         the value at which the polygon's shoelace area is
                         exactly stationary under the semi-discrete flow.
 
-The area-preserving F is a length-weighted sum of the curvature like the
-paper's average ``nonlocal_force``; the two agree as |N_i| -> 1, i.e. to
-O(h^2) on smooth curves.  The discrete normal of a regular M-gon has
+The paper's forcing is the average (1/L) * integral of kappa ds, discretely
+sum_i kappa_i*s_i / sum_i s_i.  The law's F divides the same sum by
+sum_i |N_i|^2*s_i instead.  The two agree to O(h^2) on smooth curves, but
+under the paper's average the area drifts at O(h^2) whatever tau is, and
+under the law's F only the O(tau) time error is left (the README
+tabulates both).  The discrete normal of a regular M-gon has
 |N_i| = cos(pi/M), and only the law's F cancels the curvature vector there
 (F*N_i = -k_i), which makes the regular polygon a fixed point of the flow.
 """
@@ -24,6 +27,8 @@ from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .geometry import _is_real
 
 FloatArray = NDArray[np.float64]
 
@@ -47,7 +52,7 @@ class FlowModel:
     force: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.force):
+        if not _is_real(self.force):
             raise ValueError("force must be finite")
         if self.law is not FlowLaw.CONSTANT_FORCE and self.force != 0.0:
             raise ValueError(f"{self.law.value} does not take a force value")
@@ -63,27 +68,6 @@ class FlowModel:
     @classmethod
     def area_preserving(cls) -> "FlowModel":
         return cls(FlowLaw.AREA_PRESERVING)
-
-
-def nonlocal_force(kappa: FloatArray, d: FloatArray) -> float:
-    """Length-weighted average curvature sum_j kappa_j*(d_j+d_{j+1})/2 / sum_j d_j.
-
-    This is the paper's area-preserving forcing, the discrete form of
-    (1/L) * integral of kappa ds: a convex combination of the kappa_j, so
-    it always lies in [min kappa, max kappa], and it approaches 1/R on a
-    circle of radius R.  It conserves area only up to O(h^2) in the
-    discrete scheme; the solver applies ``forcing_value`` instead.
-    """
-    kappa = np.asarray(kappa, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    if kappa.shape != d.shape or kappa.ndim != 1:
-        raise ValueError(
-            f"kappa and d must be 1-d sequences of equal size, got {kappa.shape} and {d.shape}"
-        )
-    if np.any(d <= 0.0):
-        raise ValueError("segment lengths must be positive")
-    weights = 0.5 * (d + np.roll(d, -1))
-    return float(np.sum(kappa * weights) / np.sum(d))
 
 
 def forcing_value(

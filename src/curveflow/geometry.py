@@ -19,6 +19,7 @@ Sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,8 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
-
-from .errors import DegenerateSegmentError
 
 FloatArray = NDArray[np.float64]
 
@@ -38,6 +37,11 @@ EPSILON_GEOM = 1e-12
 def _is_count(value, least: int) -> bool:
     """An integer, not a bool, of at least ``least``."""
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+
+
+def _is_real(value) -> bool:
+    """A finite real number, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -103,7 +107,7 @@ def build_radial_curve(folds: int, amplitude: float, node_count: int = 200) -> C
         raise ValueError("node_count >= 4 and integral")
     if not _is_count(folds, 1):
         raise ValueError("folds >= 1 and integral")
-    if not abs(amplitude) < 1:
+    if not (_is_real(amplitude) and abs(amplitude) < 1):
         raise ValueError("|amplitude| < 1")
     u = np.arange(node_count, dtype=np.float64) / node_count
     r = 1.0 + amplitude * np.cos(2.0 * folds * np.pi * u)
@@ -119,7 +123,7 @@ def build_circle(radius: float = 1.0, node_count: int = 200) -> CurveState:
     node_count that is not an integer >= 4.  Each message starts with the
     violated parameter.
     """
-    if not (np.isfinite(radius) and radius > 0):
+    if not (_is_real(radius) and radius > 0):
         raise ValueError("radius > 0")
     if not _is_count(node_count, 4):
         raise ValueError("node_count >= 4 and integral")
@@ -169,26 +173,19 @@ class _NodeGeometry(NamedTuple):
     kappa: FloatArray  # -k_i . N_i
 
 
-def _node_geometry(
-    rows: FloatArray, epsilon: float = 0.0, edge_pass: tuple | None = None
-) -> _NodeGeometry:
+def _node_geometry(rows: FloatArray, edge_pass: tuple | None = None) -> _NodeGeometry:
     """Every per-node quantity of the scheme, each computed once, from the
     (2, M) node rows.
 
     ``edge_pass`` is a ``CurveState``'s (edge, gaps) pass over these rows,
     X_i - X_{i-1} and its length; without it the pass is recomputed.  The
     chord X_{i+1} - X_{i-1} is the sum of the edges entering and leaving
-    node i.  Raises DegenerateSegmentError when a segment is shorter than
-    ``epsilon``.
+    node i.
     """
     if edge_pass is None:
         edge = rows - np.concatenate((rows[:, -1:], rows[:, :-1]), axis=1)
         edge_pass = edge, np.hypot(edge[0], edge[1])
     edge, lengths = edge_pass
-    if lengths.min() < epsilon:
-        raise DegenerateSegmentError(
-            f"segment length {lengths.min():.3e} below threshold {epsilon:.3e}"
-        )
     edge = np.concatenate((edge, edge[:, :1]), axis=1)  # index M repeats 0
     lengths = np.concatenate((lengths, lengths[:1]))
     tangent = edge / lengths
@@ -204,12 +201,13 @@ def _node_geometry(
     )
 
 
-def segment_lengths(curve: CurveState, epsilon: float = EPSILON_GEOM) -> FloatArray:
+def segment_lengths(curve: CurveState) -> FloatArray:
     """Segment lengths d[k] = |X_k - X_{k-1}| with cyclic wraparound.
 
-    Raises DegenerateSegmentError if any length falls below ``epsilon``.
+    Defined for every valid curve, however short its segments, like
+    ``discrete_curvature``.
     """
-    return _node_geometry(curve.nodes.T, epsilon).d
+    return _node_geometry(curve.nodes.T).d
 
 
 def discrete_curvature(curve: CurveState) -> FloatArray:

@@ -40,7 +40,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DegenerateSegmentError, LinearSolverError
 from .flows import FlowModel, forcing_value
-from .geometry import EPSILON_GEOM, CurveState, _is_count, _node_geometry
+from .geometry import EPSILON_GEOM, CurveState, _is_count, _is_real, _node_geometry
 from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchmarks/tracer.py)
 
 FloatArray = NDArray[np.float64]
@@ -63,9 +63,9 @@ class SolverConfig:
     snapshot_every: int = 100
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
+        if not (_is_real(self.tau) and self.tau > 0):
             raise ValueError("tau > 0")
-        if not (np.isfinite(self.t_final) and self.t_final >= 0):
+        if not (_is_real(self.t_final) and self.t_final >= 0):
             raise ValueError("t_final >= 0")
         if not _is_count(self.snapshot_every, 1):
             raise ValueError("snapshot_every >= 1")
@@ -202,8 +202,12 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     # the pass serves one step only, so recorded states keep no per-node arrays
     edge_pass = curve._pass
     object.__setattr__(curve, "_pass", None)
-    geo = _node_geometry(rows, EPSILON_GEOM, edge_pass)
+    geo = _node_geometry(rows, edge_pass)
     d, span, normal, kappa = geo.d, geo.span, geo.normal, geo.kappa
+    if (shortest := d.min()) < EPSILON_GEOM:
+        raise DegenerateSegmentError(
+            f"segment length {shortest:.3e} below threshold {EPSILON_GEOM:.3e}"
+        )
     # _diagnostics_row passes the same arrays, so it records the applied F bitwise
     force = forcing_value(config.model, kappa, span, normal.T)
 

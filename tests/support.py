@@ -15,14 +15,14 @@ from curveflow import (
     build_circle,
     discrete_curvature,
     evolve,
-    nonlocal_force,
     segment_lengths,
 )
 
 
 def initial_row(curve: CurveState) -> DiagnosticsRow:
-    """The diagnostics row ``evolve`` records for ``curve`` at t = 0."""
-    config = SolverConfig(FlowModel.curve_shortening(), t_final=0.0)
+    """The diagnostics row ``evolve`` records for ``curve`` at t = 0 under the
+    area-preserving law, whose ``forcing`` is the F a step applies."""
+    config = SolverConfig(FlowModel.area_preserving(), t_final=0.0)
     return evolve(curve, config).diagnostics[0]
 
 
@@ -43,7 +43,7 @@ def check_euclidean_invariance(curve: CurveState, angle: float, shift) -> None:
     s0, s1 = initial_row(curve), initial_row(moved)
     assert np.isclose(s0.isoperimetric_ratio, s1.isoperimetric_ratio, rtol=1e-9)
     assert np.isclose(s0.uniformity_ratio, s1.uniformity_ratio, rtol=1e-9)
-    assert np.isclose(nonlocal_force(k0, d0), nonlocal_force(k1, d1), rtol=1e-8, atol=1e-10)
+    assert np.isclose(s0.forcing, s1.forcing, rtol=1e-8, atol=1e-10)
 
 
 def check_scaling_covariance(curve: CurveState, scale: float) -> None:
@@ -54,7 +54,7 @@ def check_scaling_covariance(curve: CurveState, scale: float) -> None:
     assert np.allclose(k0 / scale, k1, rtol=1e-10, atol=1e-13)
     assert np.isclose(scale * curve.length, scaled.length, rtol=1e-12)
     assert np.isclose(scale**2 * curve.area, scaled.area, rtol=1e-12)
-    assert np.isclose(nonlocal_force(k0, d0) / scale, nonlocal_force(k1, d1), rtol=1e-10)
+    assert np.isclose(initial_row(curve).forcing / scale, initial_row(scaled).forcing, rtol=1e-10)
 
 
 def gauss_bonnet_sum(curve: CurveState) -> float:
@@ -86,6 +86,7 @@ def check_orientation_antisymmetry(curve: CurveState) -> None:
         np.sort(kappa), np.sort(-kappa_reversed), rtol=1e-12, atol=1e-14
     )
     assert np.isclose(curve.area, -reversed_curve.area, rtol=1e-13)
+    assert np.isclose(initial_row(curve).forcing, -initial_row(reversed_curve).forcing, rtol=1e-12)
 
 
 def check_bitwise_equivalence() -> None:

@@ -246,7 +246,7 @@ class TestRunCommand:
         assert header.split(",")[-1] == "min_segment"
         for index, line in enumerate(summary):
             rows = np.loadtxt(out / f"snapshot_{index:06d}.dat")
-            d = segment_lengths(CurveState(rows[:, 1:3]), 0.0)
+            d = segment_lengths(CurveState(rows[:, 1:3]))
             assert float(line.split(",")[-1]) == d.min()
 
     def test_polyline_input_resolves_relative_to_config(self, run_dir):
@@ -372,9 +372,16 @@ class TestStudySubcommands:
         assert len(report) == 5
         assert (run_dir / "ex-out" / "conserved-5fold" / "summary.csv").exists()
 
-    def test_examples_default_parameters_hold_area(self, run_dir, capsys):
+    def test_examples_default_parameters_hold_area(self, run_dir, monkeypatch, capsys,
+                                                   reference_report):
         # at the default resolution the conserved 5-fold study must keep
-        # its area drift within 0.5%
+        # its area drift within 0.5%; the session fixture already ran the
+        # studies at their defaults
+        def defaults_run(**given):
+            assert given == {}
+            return reference_report
+
+        monkeypatch.setattr(cli, "run_reference_studies", defaults_run)
         assert run_cli(["examples", "--out-dir", "ex-full"]) == 0
         capsys.readouterr()
         lines = (run_dir / "ex-full" / "report.csv").read_text().splitlines()

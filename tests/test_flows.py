@@ -1,4 +1,5 @@
-"""Flow-law tests: forcing values pinned by polygon closed forms."""
+"""Flow-law tests: forcing values pinned by polygon closed forms, and the
+paper's average forcing as a reference for the applied one."""
 
 import numpy as np
 import pytest
@@ -7,14 +8,15 @@ from curveflow import (
     CurveState,
     FlowLaw,
     FlowModel,
+    SolverConfig,
     build_circle,
+    build_radial_curve,
     discrete_curvature,
+    evolve,
     forcing_value,
-    nonlocal_force,
     segment_lengths,
+    stepping,
 )
-from conftest import random_star_curve
-from support import rigid_motion
 
 
 def forcing_inputs(curve):
@@ -26,12 +28,13 @@ def forcing_inputs(curve):
     return discrete_curvature(curve), span, normal
 
 
-def kappa_and_lengths(curve):
-    return discrete_curvature(curve), segment_lengths(curve)
-
-
 def law_force(curve):
     return forcing_value(FlowModel.area_preserving(), *forcing_inputs(curve))
+
+
+def paper_average(kappa, span):
+    """The paper's F: sum_i kappa_i*s_i / sum_i s_i, i.e. sum_i kappa_i*s_i / 2L."""
+    return float(np.dot(kappa, span) / span.sum())
 
 
 class TestFlowModel:
@@ -50,59 +53,33 @@ class TestFlowModel:
 
 
 class TestNonlocalForce:
-    def test_polygon_closed_form(self):
-        # length-weighted average of the uniform polygon curvature
-        m = 200
-        force = nonlocal_force(*kappa_and_lengths(build_circle(1.0, m)))
-        assert np.isclose(force, np.cos(np.pi / m), rtol=1e-12)
-        assert abs(force - 1.0) <= 1.5e-4
-
-    def test_clockwise_polygon_flips_sign(self):
-        m = 200
-        clockwise = CurveState(build_circle(1.0, m).nodes[::-1])
-        force = nonlocal_force(*kappa_and_lengths(clockwise))
-        assert np.isclose(force, -np.cos(np.pi / m), rtol=1e-12)
-
-    def test_constant_curvature_returns_the_constant(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            d = rng.uniform(0.1, 2.0, size=40)
-            c = rng.uniform(-3.0, 3.0)
-            assert np.isclose(nonlocal_force(np.full(40, c), d), c, rtol=1e-13)
-
-    def test_rejects_mismatched_sizes(self):
-        with pytest.raises(ValueError, match="equal size"):
-            nonlocal_force(np.ones(5), np.ones(6))
-
-    def test_rejects_nonpositive_lengths(self):
-        with pytest.raises(ValueError, match="positive"):
-            nonlocal_force(np.ones(5), np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
-
-    def test_convex_combination_bound(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            kappa, d = kappa_and_lengths(random_star_curve(rng))
-            force = nonlocal_force(kappa, d)
-            assert kappa.min() - 1e-12 <= force <= kappa.max() + 1e-12
-
-    def test_rigid_invariance_and_scaling(self):
-        rng = np.random.default_rng(23)
-        curve = random_star_curve(rng, node_count=64)
-        force = nonlocal_force(*kappa_and_lengths(curve))
-        moved = rigid_motion(curve, 1.1, (4.0, -2.0))
-        assert np.isclose(nonlocal_force(*kappa_and_lengths(moved)), force, rtol=1e-8)
-        scaled = CurveState(3.0 * curve.nodes)
-        assert np.isclose(nonlocal_force(*kappa_and_lengths(scaled)), force / 3.0, rtol=1e-10)
+    """The paper's forcing (1/L) * integral of kappa ds, as a reference for the law's F."""
 
     def test_total_turning_approximation(self):
         # F ~ 2*pi/L for smooth convex curves, O(M^-2) on a non-uniform mesh
         for m in (128, 256, 512):
             t = 2 * np.pi * np.arange(m) / m
             ellipse = CurveState(np.stack([1.3 * np.cos(t), 0.7 * np.sin(t)], axis=1))
-            force = nonlocal_force(*kappa_and_lengths(ellipse))
+            kappa, span, _ = forcing_inputs(ellipse)
+            force = paper_average(kappa, span)
             assert abs(force - 2 * np.pi / ellipse.length) <= 12.0 / m**2
             # the solver's area-conserving F differs from it only at O(M^-2)
             assert abs(law_force(ellipse) - force) <= 12.0 / m**2
+
+    def test_paper_average_drifts_at_second_order_in_space(self, monkeypatch, reference_report):
+        # the 5-fold study over [0, 0.5] at tau = 1e-4: under the paper's F
+        # the area drift is a spatial error (4.25x smaller from M = 100 to
+        # 200), which the applied F removes (9.8x smaller at M = 200)
+        monkeypatch.setattr(stepping, "forcing_value",
+                            lambda model, kappa, span, normal: paper_average(kappa, span))
+        drifts = {}
+        for m in (100, 200):
+            config = SolverConfig(FlowModel.area_preserving(), t_final=0.5, snapshot_every=10**6)
+            rows = evolve(build_radial_curve(5, 0.65, m), config).diagnostics
+            drifts[m] = abs(rows[-1].area - rows[0].area) / rows[0].area
+        assert drifts[100] / drifts[200] >= 3.5, drifts
+        applied = {r.name: r.area_drift for r in reference_report.records}["conserved-5fold"]
+        assert drifts[200] / applied >= 5.0, (drifts, applied)
 
 
 class TestForcingValue:

@@ -5,10 +5,14 @@ import pytest
 from scipy.integrate import quad
 
 from curveflow import (
+    CircleOracle,
     CurveState,
-    DegenerateSegmentError,
+    FlowLaw,
+    FlowModel,
+    SolverConfig,
     build_circle,
     build_radial_curve,
+    circle_radius,
     discrete_curvature,
     read_polyline,
     segment_lengths,
@@ -18,6 +22,17 @@ from conftest import random_star_curve
 from support import initial_row
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+#: each real-valued parameter of the package -> a call that sets it
+REAL_PARAMETERS = {
+    "t_final": lambda v: SolverConfig(FlowModel.curve_shortening(), t_final=v),
+    "tau": lambda v: SolverConfig(FlowModel.curve_shortening(), t_final=1.0, tau=v),
+    "force": lambda v: FlowModel(FlowLaw.CONSTANT_FORCE, force=v),
+    "radius": lambda v: build_circle(radius=v, node_count=8),
+    "amplitude": lambda v: build_radial_curve(3, v, 8),
+    "initial_radius": lambda v: CircleOracle(v, FlowModel.curve_shortening()),
+    "t": lambda v: circle_radius(CircleOracle(1.0, FlowModel.curve_shortening()), v),
+}
 
 
 def radial_speed(u, folds, amplitude):
@@ -190,11 +205,10 @@ class TestSegmentLengths:
         oracle = arc_length(5, 0.65)
         assert abs(total - oracle) / oracle <= 1e-3
 
-    def test_degenerate_segment_rejected(self):
+    def test_short_segment_returned_exactly(self):
+        # below the stepper's 1e-12 threshold, which only ``step`` applies
         nodes = np.array([(0.0, 0.0), (1e-13, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        curve = CurveState(nodes)
-        with pytest.raises(DegenerateSegmentError):
-            segment_lengths(curve)
+        assert segment_lengths(CurveState(nodes))[1] == 1e-13
 
 
 class TestDiscreteCurvature:
@@ -326,3 +340,16 @@ class TestInvariantProperties:
         for _ in range(5):
             check_orientation_antisymmetry(random_star_curve(rng))
 
+
+@pytest.mark.parametrize("value", [True, "1"])
+@pytest.mark.parametrize("name", list(REAL_PARAMETERS))
+def test_real_parameters_reject_a_bool_or_a_string(name, value):
+    # the message starts with the parameter, which the CLI maps to its key
+    with pytest.raises(ValueError) as raised:
+        REAL_PARAMETERS[name](value)
+    assert str(raised.value).split()[0].strip("|") == name
+
+
+@pytest.mark.parametrize("name", list(REAL_PARAMETERS))
+def test_real_parameters_accept_a_numpy_float(name):
+    REAL_PARAMETERS[name](np.float64(0.5))
