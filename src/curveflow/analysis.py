@@ -203,10 +203,12 @@ def convergence_study(
     Fitted log-log orders land in ``fitted_orders``; raw errors in
     ``error_tables``.
     """
+    if not _is_count(base_node_count, 4):
+        raise ValueError("base_node_count >= 4 and integral")
+    if not (_is_real(base_tau) and 0 < base_tau < 0.5):
+        raise ValueError("base_tau in (0, 0.5); at 0.5 the coarsest run is already at extinction")
     if not _is_count(levels, 3):
         raise ValueError("levels >= 3")
-    if base_tau >= 0.5:
-        raise ValueError("coarsest run is already at extinction (base_tau >= 0.5)")
 
     node_counts = [base_node_count * 2**k for k in range(levels)]
     curvature_errors = []

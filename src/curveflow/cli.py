@@ -61,11 +61,19 @@ _KEYS = {
     "polyline_path": (str, ("polyline",)),
 }
 
-#: constructor parameters whose config key has another name
-_PARAMETER_KEYS = {"node_count": "nodes"}
+#: parameters whose config key, and whose flag with '-' for '_', is another name
+_PARAMETER_KEYS = {"node_count": "nodes", "base_node_count": "base_nodes"}
 
 #: one column per DiagnosticsRow field, in field order
 SUMMARY_HEADER = "t,length,area,F,isoperimetric_ratio,uniformity_ratio,min_segment"
+
+
+def _renamed(exc: ValueError, names: dict[str, str]) -> tuple[str, str]:
+    """``exc``'s message, which starts with the violated parameter, with that
+    parameter renamed by ``names`` if it is there; and its new name."""
+    name = str(exc).split()[0].strip("|")
+    new = names.get(name, name)
+    return str(exc).replace(name, new, 1), new
 
 
 def _fmt(value: float) -> str:
@@ -133,10 +141,8 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunSpec:
         try:
             return build(*args, **kwargs)
         except ValueError as exc:
-            message = str(exc)
-            name = message.split()[0].strip("|")
-            key = _PARAMETER_KEYS.get(name, name)
-            raise ConfigError(message.replace(name, key, 1), lines.get(key)) from None
+            message, key = _renamed(exc, _PARAMETER_KEYS)
+            raise ConfigError(message, lines.get(key)) from None
 
     curve = required("curve")
     if curve not in _CURVES:
@@ -320,7 +326,11 @@ def _write_report(report: StudyReport, out_dir: Path) -> None:
 def _cmd_study(args) -> int:
     given = {key: value for key, value in vars(args).items()
              if key not in ("command", "handler", "study", "out_dir")}
-    report = args.study(**given)
+    try:
+        report = args.study(**given)
+    except ValueError as exc:  # it names the study parameter; name its flag instead
+        flags = {name: "--" + _PARAMETER_KEYS.get(name, name).replace("_", "-") for name in given}
+        raise ValueError(_renamed(exc, flags)[0]) from None
     _write_report(report, Path(args.out_dir))
     _print_report(report)
     print(f"report written to {args.out_dir}")

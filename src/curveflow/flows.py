@@ -63,7 +63,7 @@ class FlowModel:
 
     @classmethod
     def constant_force(cls, force: float) -> "FlowModel":
-        return cls(FlowLaw.CONSTANT_FORCE, force=float(force))
+        return cls(FlowLaw.CONSTANT_FORCE, force=force)
 
     @classmethod
     def area_preserving(cls) -> "FlowModel":

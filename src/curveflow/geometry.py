@@ -4,8 +4,8 @@ A curve is an ordered closed polygon of M nodes with periodic indexing
 (X_0 := X_M, X_{M+1} := X_1).  This module computes the per-node quantities
 the flow solver is built on: segment lengths d_i = |X_i - X_{i-1}|, spans
 d_i + d_{i+1}, unit tangents, normals, the curvature vector and the
-discrete curvature.  A validated ``CurveState`` carries its total length
-and signed enclosed area.
+discrete curvature, once per ``CurveState``, which also carries its total
+length and signed enclosed area.
 
 Sign conventions (fixed once, used everywhere):
 
@@ -19,8 +19,8 @@ Sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -40,8 +40,9 @@ def _is_count(value, least: int) -> bool:
 
 
 def _is_real(value) -> bool:
-    """A finite real number, not a bool."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    """A real number, not a bool, finite as a float (no int too large for one)."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -50,16 +51,16 @@ class CurveState:
 
     Node k connects to nodes (k-1) % M and (k+1) % M.  Consecutive nodes
     must be distinct and the polygon must have nonzero signed area (so an
-    orientation is defined).  Validation also yields the total ``length``
-    and the signed shoelace ``area``, positive iff the nodes run
-    counterclockwise.
+    orientation is defined).  Validation also yields the total ``length``,
+    the signed shoelace ``area``, positive iff the nodes run
+    counterclockwise, and the per-node geometry, which a step takes.
     """
 
     nodes: FloatArray
     length: float = field(init=False, repr=False)
     area: float = field(init=False, repr=False)
-    # (edge, gaps) of the validation pass, used once by the next step
-    _pass: tuple[FloatArray, FloatArray] | None = field(init=False, repr=False)
+    # per-node geometry of the validation pass, taken by the next step
+    _pass: _NodeGeometry | None = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -82,7 +83,8 @@ class CurveState:
         area = 0.5 * float(np.dot(prev[0], edge[1]) - np.dot(prev[1], edge[0]))
         if area == 0.0:
             raise ValueError("curve has zero signed area; orientation undefined")
-        fields = dict(nodes=rows.T, length=float(gaps.sum()), area=area, _pass=(edge, gaps))
+        fields = dict(nodes=rows.T, length=float(gaps.sum()), area=area,
+                      _pass=_node_geometry(edge, gaps))
         for name, value in fields.items():  # frozen: past the dataclass __setattr__
             object.__setattr__(self, name, value)
 
@@ -173,19 +175,13 @@ class _NodeGeometry(NamedTuple):
     kappa: FloatArray  # -k_i . N_i
 
 
-def _node_geometry(rows: FloatArray, edge_pass: tuple | None = None) -> _NodeGeometry:
+def _node_geometry(edge: FloatArray, lengths: FloatArray) -> _NodeGeometry:
     """Every per-node quantity of the scheme, each computed once, from the
-    (2, M) node rows.
+    (2, M) edges X_i - X_{i-1} and their lengths.
 
-    ``edge_pass`` is a ``CurveState``'s (edge, gaps) pass over these rows,
-    X_i - X_{i-1} and its length; without it the pass is recomputed.  The
-    chord X_{i+1} - X_{i-1} is the sum of the edges entering and leaving
+    The chord X_{i+1} - X_{i-1} is the sum of the edges entering and leaving
     node i.
     """
-    if edge_pass is None:
-        edge = rows - np.concatenate((rows[:, -1:], rows[:, :-1]), axis=1)
-        edge_pass = edge, np.hypot(edge[0], edge[1])
-    edge, lengths = edge_pass
     edge = np.concatenate((edge, edge[:, :1]), axis=1)  # index M repeats 0
     lengths = np.concatenate((lengths, lengths[:1]))
     tangent = edge / lengths
@@ -201,13 +197,18 @@ def _node_geometry(rows: FloatArray, edge_pass: tuple | None = None) -> _NodeGeo
     )
 
 
+def _state_geometry(curve: CurveState) -> _NodeGeometry:
+    """The curve's per-node geometry; once a step took it, computed anew, bitwise equal."""
+    return curve._pass or CurveState(curve.nodes)._pass
+
+
 def segment_lengths(curve: CurveState) -> FloatArray:
     """Segment lengths d[k] = |X_k - X_{k-1}| with cyclic wraparound.
 
     Defined for every valid curve, however short its segments, like
     ``discrete_curvature``.
     """
-    return _node_geometry(curve.nodes.T).d
+    return _state_geometry(curve).d.copy()
 
 
 def discrete_curvature(curve: CurveState) -> FloatArray:
@@ -222,4 +223,4 @@ def discrete_curvature(curve: CurveState) -> FloatArray:
     cos(pi/M)/R at every node.  Defined for every valid curve, however short
     its segments; the stepper applies its own degeneracy threshold.
     """
-    return _node_geometry(curve.nodes.T).kappa
+    return _state_geometry(curve).kappa.copy()

@@ -40,7 +40,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DegenerateSegmentError, LinearSolverError
 from .flows import FlowModel, forcing_value
-from .geometry import EPSILON_GEOM, CurveState, _is_count, _is_real, _node_geometry
+from .geometry import EPSILON_GEOM, CurveState, _is_count, _is_real, _state_geometry
 from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchmarks/tracer.py)
 
 FloatArray = NDArray[np.float64]
@@ -192,23 +192,22 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_pair, rhs) -> FloatArray:
 def step(curve: CurveState, config: SolverConfig) -> CurveState:
     """Advance the curve by one semi-implicit backward-Euler step.
 
-    The geometry starts from the edges the input's validation computed, or
-    recomputes them if a step has used them; raises DegenerateSegmentError
+    Takes the per-node geometry the input's validation computed, or
+    recomputes it if a step has taken it; raises DegenerateSegmentError
     when a segment is below EPSILON_GEOM (1e-12) and LinearSolverError when
     the implicit solve fails.
     """
     rows = curve.nodes.T
     m = rows.shape[1]
+    geo = _state_geometry(curve)
     # the pass serves one step only, so recorded states keep no per-node arrays
-    edge_pass = curve._pass
     object.__setattr__(curve, "_pass", None)
-    geo = _node_geometry(rows, edge_pass)
     d, span, normal, kappa = geo.d, geo.span, geo.normal, geo.kappa
     if (shortest := d.min()) < EPSILON_GEOM:
         raise DegenerateSegmentError(
             f"segment length {shortest:.3e} below threshold {EPSILON_GEOM:.3e}"
         )
-    # _diagnostics_row passes the same arrays, so it records the applied F bitwise
+    # _diagnostics_row reads the same geometry, so it records the applied F bitwise
     force = forcing_value(config.model, kappa, span, normal.T)
 
     # tangential speed: cancel the normal motion's rate of each d_i/L and
@@ -246,7 +245,7 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
 def _diagnostics_row(t: float, curve: CurveState, model: FlowModel) -> DiagnosticsRow:
     # Tolerant recording path: must not raise even for near-extinct or
     # clockwise states, hence the |area| in the isoperimetric ratio.
-    geo = _node_geometry(curve.nodes.T)
+    geo = _state_geometry(curve)
     d, length, area = geo.d, curve.length, curve.area
     return DiagnosticsRow(
         t=t,

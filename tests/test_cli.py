@@ -15,6 +15,7 @@ from curveflow import (
     build_radial_curve,
     cli,
     discrete_curvature,
+    geometry,
     segment_lengths,
     stepping,
 )
@@ -219,6 +220,21 @@ class TestRunCommand:
         times = [float(line.split(",")[0]) for line in summary[1:]]
         assert times == pytest.approx([0.0, 0.005, 0.01, 0.015, 0.02])
 
+    def test_each_state_geometry_is_computed_once(self, run_dir, monkeypatch):
+        # the step, the diagnostics row and the snapshot's curvature share one pass
+        calls = []
+        node_geometry = geometry._node_geometry
+
+        def counting(*args):
+            calls.append(args)
+            return node_geometry(*args)
+
+        monkeypatch.setattr(geometry, "_node_geometry", counting)
+        text = self.CONFIG.format(out="out-g").replace("snapshot_every = 5", "snapshot_every = 2")
+        assert run_cli(["run", _write(run_dir / "run.conf", text)]) == 0
+        assert len(list((run_dir / "out-g").glob("snapshot_*.dat"))) == 11
+        assert len(calls) == 20 + 1  # one per state: the initial one and one per step
+
     def test_summary_is_deterministic(self, run_dir):
         config_a = _write(run_dir / "a.conf", self.CONFIG.format(out="out-a"))
         config_b = _write(run_dir / "b.conf", self.CONFIG.format(out="out-b"))
@@ -391,10 +407,14 @@ class TestStudySubcommands:
         assert drift <= 5e-3
         assert rows["shrinking-4fold"][header.index("status")] == "extinct"
 
-    def test_convergence_fast(self, run_dir, capsys):
-        assert run_cli(
-            ["convergence", "--base-tau", "1.6e-4", "--levels", "3", "--out-dir", "cv-out"]
-        ) == 0
+    def test_convergence_fast(self, run_dir, monkeypatch, capsys, convergence_report):
+        # the session fixture already ran the study at its defaults
+        def defaults_run(**given):
+            assert given == {}
+            return convergence_report
+
+        monkeypatch.setattr(cli, "convergence_study", defaults_run)
+        assert run_cli(["convergence", "--out-dir", "cv-out"]) == 0
         out = capsys.readouterr().out
         assert "curvature_vs_node_count" in out
         assert (run_dir / "cv-out" / "curvature_error_vs_nodes.csv").exists()
@@ -415,6 +435,21 @@ class TestStudySubcommands:
         monkeypatch.setattr(stepping, "step", failing_step)
         assert run_cli(argv + ["--out-dir", "abort-out"]) == 2
         assert "at least one study aborted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["convergence", "--base-nodes", "3"], "--base-nodes"),
+            (["examples", "--nodes", "3"], "--nodes"),
+            (["convergence", "--base-tau", "-1"], "--base-tau"),
+            (["convergence", "--levels", "2"], "--levels"),
+        ],
+        ids=["base-nodes", "nodes", "base-tau", "levels"],
+    )
+    def test_invalid_flag_is_named(self, run_dir, capsys, argv, flag):
+        # the study names its parameter; the error names the flag that set it
+        assert run_cli(argv + ["--out-dir", "bad-out"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
 
     @pytest.mark.parametrize(
         "argv, study, given",

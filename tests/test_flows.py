@@ -50,6 +50,9 @@ class TestFlowModel:
     def test_force_must_be_finite(self):
         with pytest.raises(ValueError):
             FlowModel.constant_force(np.nan)
+        # an int too large for a float: the check's ValueError, not float()'s OverflowError
+        with pytest.raises(ValueError, match="force must be finite"):
+            FlowModel.constant_force(10**400)
 
 
 class TestNonlocalForce:

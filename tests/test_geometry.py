@@ -341,10 +341,11 @@ class TestInvariantProperties:
             check_orientation_antisymmetry(random_star_curve(rng))
 
 
-@pytest.mark.parametrize("value", [True, "1"])
+@pytest.mark.parametrize("value", [True, "1", pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("name", list(REAL_PARAMETERS))
 def test_real_parameters_reject_a_bool_or_a_string(name, value):
-    # the message starts with the parameter, which the CLI maps to its key
+    # the message starts with the parameter, which the CLI maps to its key;
+    # an int too large for a float is not finite
     with pytest.raises(ValueError) as raised:
         REAL_PARAMETERS[name](value)
     assert str(raised.value).split()[0].strip("|") == name

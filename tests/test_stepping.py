@@ -15,6 +15,7 @@ from curveflow import (
     TrajectoryStatus,
     build_circle,
     build_radial_curve,
+    discrete_curvature,
     evolve,
     forcing_value,
     segment_lengths,
@@ -221,9 +222,9 @@ class TestStep:
         assert len(trajectory.snapshots) == 1
 
 
-class TestEdgePassHandOff:
-    """``step`` takes the edges and lengths its input's validation computed,
-    once; no trajectory may depend on whether it had them."""
+class TestGeometryHandOff:
+    """``step`` takes the per-node geometry its input's validation computed,
+    once; no trajectory or geometry may depend on whether it had it."""
 
     CONFIG = SolverConfig(FlowModel.area_preserving(), t_final=0.01, tau=1e-4, snapshot_every=10)
 
@@ -245,6 +246,24 @@ class TestEdgePassHandOff:
         again = evolve(used, self.CONFIG)
         assert fresh.final_state.nodes.tobytes() == again.final_state.nodes.tobytes()
         assert np.array(fresh.diagnostics).tobytes() == np.array(again.diagnostics).tobytes()
+
+    def test_geometry_of_a_used_state_is_bitwise_equal(self):
+        nodes = build_radial_curve(5, 0.65, 200).nodes
+        used = CurveState(nodes)
+        step(used, self.CONFIG)
+        assert used._pass is None
+        fresh = CurveState(nodes)
+        assert discrete_curvature(used).tobytes() == discrete_curvature(fresh).tobytes()
+        assert segment_lengths(used).tobytes() == segment_lengths(fresh).tobytes()
+
+    def test_returned_geometry_belongs_to_the_caller(self):
+        # writing into the returned arrays must not reach the next step
+        nodes = build_radial_curve(5, 0.65, 200).nodes
+        curve = CurveState(nodes)
+        segment_lengths(curve)[:] = 1.0
+        discrete_curvature(curve)[:] = 0.0
+        stepped = step(curve, self.CONFIG)
+        assert stepped.nodes.tobytes() == step(CurveState(nodes), self.CONFIG).nodes.tobytes()
 
     def test_recorded_states_keep_no_pass(self):
         # retained records hold no per-node arrays beyond their nodes
