@@ -50,10 +50,11 @@ class CurveState:
     """Immutable closed polygon of M >= 4 planar nodes, cyclically indexed.
 
     Node k connects to nodes (k-1) % M and (k+1) % M.  Consecutive nodes
-    must be distinct and the polygon must have nonzero signed area (so an
-    orientation is defined).  Validation also yields the total ``length``,
-    the signed shoelace ``area``, positive iff the nodes run
-    counterclockwise, and the per-node geometry, which a step takes.
+    must be distinct and the polygon must have a finite length and a finite,
+    nonzero signed area (so an orientation is defined).  Validation also
+    yields the total ``length``, the signed shoelace ``area``, positive iff
+    the nodes run counterclockwise, and the per-node geometry, which a step
+    takes.
     """
 
     nodes: FloatArray
@@ -83,7 +84,10 @@ class CurveState:
         area = 0.5 * float(np.dot(prev[0], edge[1]) - np.dot(prev[1], edge[0]))
         if area == 0.0:
             raise ValueError("curve has zero signed area; orientation undefined")
-        fields = dict(nodes=rows.T, length=float(gaps.sum()), area=area,
+        length = float(gaps.sum())
+        if not np.isfinite([length, area]).all():
+            raise ValueError("curve length and area must be finite")
+        fields = dict(nodes=rows.T, length=length, area=area,
                       _pass=_node_geometry(edge, gaps))
         for name, value in fields.items():  # frozen: past the dataclass __setattr__
             object.__setattr__(self, name, value)

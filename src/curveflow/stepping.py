@@ -67,6 +67,8 @@ class SolverConfig:
             raise ValueError("tau > 0")
         if not (_is_real(self.t_final) and self.t_final >= 0):
             raise ValueError("t_final >= 0")
+        if not math.isfinite(self.t_final / self.tau):
+            raise ValueError("tau too small: t_final / tau overflows")
         if not _is_count(self.snapshot_every, 1):
             raise ValueError("snapshot_every >= 1")
 
@@ -113,30 +115,46 @@ class Trajectory:
 _DOMINANCE_TOL = 8.0 * np.finfo(np.float64).eps  # relative to the row sums
 
 
-def _solve_cyclic(lower, diag, upper, work: FloatArray) -> FloatArray:
-    """Solve a dominant cyclic tridiagonal system in place; returns the (k, M) solution.
+def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
+    """Solve a strictly diagonally dominant cyclic tridiagonal system.
 
     Row i couples x_{i-1} by ``lower[i]``, x_i by ``diag[i]`` and x_{i+1} by
     ``upper[i]``, indices wrapping, so ``lower[0]`` and ``upper[-1]`` are the
-    corners; ``work`` (k+1, M) holds k right-hand sides and a spare row.
+    corners; the three bands have length M >= 4.  ``rhs`` may be a vector of
+    length M or an (M, k) stack of right-hand sides, all solved with one
+    factorization.
+
     With A = T + u v^T, u = gamma*e_0 + upper[-1]*e_{M-1} and
     v = e_0 + (lower[0]/gamma)*e_{M-1}, one banded solve of T gives T^{-1} b
-    and T^{-1} u (in the spare row) together.
+    and T^{-1} u together.  Raises LinearSolverError on a dominance
+    violation, a singular rank-one correction or non-finite values.
     """
+    lower, diag, upper = (np.asarray(a, dtype=np.float64) for a in (lower, diag, upper))
+    if diag.ndim != 1 or diag.shape[0] < 4:
+        raise ValueError("diag must be a vector of M >= 4 entries")
+    m = diag.shape[0]
+    if lower.shape != (m,) or upper.shape != (m,):
+        raise ValueError("lower and upper must have length M")
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != m:
+        raise ValueError("rhs must be a vector of length M or an (M, k) matrix")
+
     # Strict dominance up to roundoff of the row sums: rows like 1 + |a| + |c|
     # with |a| ~ 1e16 compute a margin of exactly 0 even though the exact
     # matrix is strictly dominant.
     abs_diag, off_sum = np.abs(diag), np.abs(lower) + np.abs(upper)
     if not (abs_diag - off_sum > -_DOMINANCE_TOL * (abs_diag + off_sum)).all():
         raise LinearSolverError("matrix is not strictly diagonally dominant")
-    bands = np.empty((3, diag.shape[0]))  # solve_banded layout
+    bands = np.empty((3, m))  # solve_banded layout
     bands[0, 1:] = upper[:-1]
     bands[1] = diag
     bands[2, :-1] = lower[1:]
     gamma = -diag[0]
     bands[1, 0] -= gamma
     bands[1, -1] -= lower[0] * upper[-1] / gamma
-    work[-1] = 0.0
+    # the k right-hand sides as rows, then u in the spare last row
+    work = np.zeros((rhs.size // m + 1, m))
+    work[:-1] = rhs.T
     work[-1, 0], work[-1, -1] = gamma, upper[-1]
     y = solve_banded((1, 1), bands, work.T, overwrite_ab=True, overwrite_b=True,
                      check_finite=False).T
@@ -149,44 +167,7 @@ def _solve_cyclic(lower, diag, upper, work: FloatArray) -> FloatArray:
     x = y[:-1] - factor[:, None] * z
     if not np.isfinite(x).all():
         raise LinearSolverError("solver produced non-finite values")
-    return x
-
-
-def solve_cyclic_tridiagonal(sub, diag, sup, corner_pair, rhs) -> FloatArray:
-    """Solve a strictly diagonally dominant cyclic tridiagonal system.
-
-    The matrix has bands ``sub`` (M-1 entries, below the diagonal), ``diag``
-    (M entries) and ``sup`` (M-1 entries, above), plus the periodic corner
-    entries ``corner_pair = (top_right, bottom_left)``.  ``rhs`` may be a
-    vector of length M or an (M, k) stack of right-hand sides, all solved
-    with one factorization.
-
-    Uses a rank-one (Sherman-Morrison) correction of a plain tridiagonal
-    solve.  Raises LinearSolverError on a dominance violation or when the
-    arithmetic produces non-finite values.
-    """
-    sub, diag, sup = (np.asarray(a, dtype=np.float64) for a in (sub, diag, sup))
-    m = diag.shape[0]
-    if m < 4:
-        raise ValueError("system size must be >= 4")
-    if sub.shape != (m - 1,) or sup.shape != (m - 1,):
-        raise ValueError("sub and sup must have length M-1")
-    alpha, beta = (float(c) for c in corner_pair)
-
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.ndim not in (1, 2):
-        raise ValueError("rhs must be a vector or a matrix of columns")
-    single = rhs.ndim == 1
-    b = rhs[:, None] if single else rhs
-    if b.shape[0] != m:
-        raise ValueError("rhs size does not match the system")
-
-    # row i couples its left neighbour by sub[i-1] (the corner at i = 0)
-    # and its right neighbour by sup[i] (the corner at i = M-1)
-    lower, upper = np.concatenate(([alpha], sub)), np.concatenate((sup, [beta]))
-    work = np.vstack((b.T, np.empty(m)))
-    x = _solve_cyclic(lower, diag, upper, work).T
-    return x[:, 0] if single else x
+    return x[0] if rhs.ndim == 1 else x.T
 
 
 def step(curve: CurveState, config: SolverConfig) -> CurveState:
@@ -232,12 +213,11 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     lower = advect - w_prev
     upper = -w_next - advect
 
-    work = np.empty((3, m))
-    np.multiply(normal, tau * force, out=work[:2])
-    work[:2] += rows
-    solution = _solve_cyclic(lower, 1.0 + w_prev + w_next, upper, work)
+    rhs = normal * (tau * force)
+    rhs += rows
+    solution = solve_cyclic_tridiagonal(lower, 1.0 + w_prev + w_next, upper, rhs.T)
     try:
-        return CurveState(solution.T)
+        return CurveState(solution)
     except ValueError as exc:
         raise DegenerateSegmentError(f"step produced an invalid curve: {exc}") from exc
 
@@ -292,8 +272,6 @@ def evolve(
     if initial.length < EXTINCTION_LENGTH:
         trajectory.status = TrajectoryStatus.EXTINCT
         trajectory.extinction_time = 0.0
-        return trajectory
-    if config.t_final == 0.0:
         return trajectory
 
     n_steps = math.ceil(config.t_final / config.tau - 1e-9)

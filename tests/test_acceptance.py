@@ -148,9 +148,9 @@ def test_criterion_9_linear_solver_oracle():
     rng = np.random.default_rng(31415)
     for m in (6, 64, 200):
         for _ in range(5):
-            sub, diag, sup, corners, rhs = random_dominant_system(rng, m)
-            solution = solve_cyclic_tridiagonal(sub, diag, sup, corners, rhs)
-            expected = np.linalg.solve(dense_matrix(sub, diag, sup, corners), rhs)
+            lower, diag, upper, rhs = random_dominant_system(rng, m)
+            solution = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+            expected = np.linalg.solve(dense_matrix(lower, diag, upper), rhs)
             worst = max(
                 worst,
                 float(np.max(np.abs(solution - expected)) / np.max(np.abs(expected))),

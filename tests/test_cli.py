@@ -287,6 +287,19 @@ class TestRunCommand:
         )
         assert run_cli(["run", config]) == 1
 
+    def test_overflowing_polyline_exits_1(self, run_dir, capsys):
+        # a finite square whose area overflows to inf
+        (run_dir / "huge.txt").write_text("0 0\n1e200 0\n1e200 1e200\n0 1e200\n")
+        config = _write(
+            run_dir / "p.conf",
+            "curve = polyline\npolyline_path = huge.txt\nmodel = area_preserving\n"
+            "t_final = 1e-3\nout_dir = out-h\n",
+        )
+        with np.errstate(over="ignore"):
+            assert run_cli(["run", config]) == 1
+        assert "invalid polyline file" in capsys.readouterr().err
+        assert not (run_dir / "out-h").exists()
+
     def test_solver_abort_exits_2(self, run_dir, capsys):
         # two nearly-coincident points: the first step hits the degeneracy guard
         (run_dir / "pinched.txt").write_text("0 0\n5e-13 0\n1 0\n1 1\n0 1\n")
@@ -354,6 +367,7 @@ class TestRunCommand:
             "curve = circle☃\nmodel = csf\nt_final = 1",
             "= value\ncurve = circle",
             "curve = circle\nmodel = csf\nt_final = 1\ntau = 1e-400",
+            "curve = circle\nmodel = csf\nt_final = 1\ntau = 1e-320",
             "curve circle\nmodel = csf",
             "[section]\ncurve = circle",
         ],

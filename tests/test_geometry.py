@@ -75,6 +75,21 @@ class TestCurveState:
         with pytest.raises(ValueError, match="finite"):
             CurveState(nodes)
 
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [(0.0, 0.0), (1e200, 0.0), (1e200, 1e200), (0.0, 1e200)],  # area inf
+            [(-1.5e308, -1.5e308), (1.5e308, -1.5e308), (1.5e308, 1.5e308),
+             (-1.5e308, 1.5e308)],  # area nan
+            [(0.0, 0.0), (1e308, 0.0), (1e308, 1e-300), (0.0, 1e-300)],  # length inf
+        ],
+        ids=["area-overflows", "area-is-nan", "length-overflows"],
+    )
+    def test_rejects_an_overflowing_length_or_area(self, nodes):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="length and area must be finite"):
+            CurveState(np.array(nodes))
+
     def test_rejects_zero_area(self):
         with pytest.raises(ValueError, match="zero signed area"):
             CurveState(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))

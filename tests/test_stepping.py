@@ -99,6 +99,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="snapshot_every"):
             SolverConfig(model=model, t_final=1.0, snapshot_every=0)
 
+    def test_rejects_a_tau_too_small_for_the_step_count(self):
+        # t_final / tau overflows to inf, so no step count exists
+        with pytest.raises(ValueError, match="^tau"):
+            SolverConfig(FlowModel.curve_shortening(), t_final=1.0, tau=1e-320)
+
     @pytest.mark.parametrize("snapshot_every", [True, 2.0, 2.5])
     def test_snapshot_every_must_be_an_integer(self, snapshot_every):
         with pytest.raises(ValueError, match="snapshot_every"):
@@ -207,11 +212,12 @@ class TestStep:
     def test_invalid_solution_aborts_naming_the_step(self, monkeypatch):
         # a solve that returns two coincident nodes: CurveState rejects the
         # result, and step reports it as a degenerate segment
-        def coincident(lower, diag, upper, work):
-            work[:2, 1] = work[:2, 0]
-            return work[:2]
+        def coincident(lower, diag, upper, rhs):
+            nodes = np.array(rhs)
+            nodes[1] = nodes[0]
+            return nodes
 
-        monkeypatch.setattr(stepping, "_solve_cyclic", coincident)
+        monkeypatch.setattr(stepping, "solve_cyclic_tridiagonal", coincident)
         curve = build_circle(1.0, 16)
         config = SolverConfig(FlowModel.curve_shortening(), t_final=1e-3, tau=1e-4)
         with pytest.raises(DegenerateSegmentError, match="step produced an invalid curve"):
@@ -220,6 +226,21 @@ class TestStep:
         assert trajectory.status is TrajectoryStatus.ABORTED
         assert trajectory.error.startswith("step 1 (t=0.0001): step produced an invalid curve")
         assert len(trajectory.snapshots) == 1
+
+    def test_each_step_makes_one_cyclic_solve(self, monkeypatch):
+        config = SolverConfig(FlowModel.area_preserving(), t_final=2e-3, tau=1e-4,
+                              snapshot_every=5)
+        plain = evolve(build_radial_curve(5, 0.65, 64), config)
+        inner, calls = stepping.solve_cyclic_tridiagonal, []
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(stepping, "solve_cyclic_tridiagonal", counted)
+        counted_run = evolve(build_radial_curve(5, 0.65, 64), config)
+        assert len(calls) == 20
+        assert counted_run.final_state.nodes.tobytes() == plain.final_state.nodes.tobytes()
 
 
 class TestGeometryHandOff:
