@@ -17,7 +17,6 @@ unexpected failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -228,13 +227,16 @@ def _cmd_run(args) -> int:
                 stale.unlink()
     except OSError as exc:
         raise CurveFlowError(f"cannot prepare output directory {out_dir}: {exc}") from exc
-    snapshot_paths = (out_dir / f"snapshot_{index:06d}.dat" for index in itertools.count())
+    written = 0  # records on disk: evolve keeps only the last one
 
     def write_record(t: float, state: CurveState, row: DiagnosticsRow) -> None:
-        write_snapshot(t, state, discrete_curvature(state), next(snapshot_paths))
+        nonlocal written
+        path = out_dir / f"snapshot_{written:06d}.dat"
+        write_snapshot(t, state, discrete_curvature(state), path)
         # a summary line follows its snapshot, so every line on disk has its file
         summary.write(_summary_line(row))
         summary.flush()
+        written += 1
 
     # write_snapshot maps its own OSError, so any OSError here is the summary's
     try:
@@ -246,7 +248,7 @@ def _cmd_run(args) -> int:
     last = trajectory.diagnostics[-1]
     print(
         f"status={trajectory.status.value} t={_fmt(last.t)} length={_fmt(last.length)} "
-        f"area={_fmt(last.area)} snapshots={len(trajectory.snapshots)} out_dir={spec.out_dir}"
+        f"area={_fmt(last.area)} snapshots={written} out_dir={spec.out_dir}"
     )
     if trajectory.status is TrajectoryStatus.EXTINCT:
         print(f"extinction at t={_fmt(trajectory.extinction_time)}")
@@ -381,7 +383,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
+        # an overflow or NaN surfaces as a typed error, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

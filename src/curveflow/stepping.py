@@ -91,7 +91,8 @@ class TrajectoryStatus(Enum):
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus per-recorded-step scalar diagnostics."""
+    """Time-ordered snapshots plus per-recorded-step scalar diagnostics; a
+    run that streamed them through ``evolve``'s ``on_record`` keeps its last."""
 
     snapshots: list[tuple[float, CurveState]]
     diagnostics: list[DiagnosticsRow]
@@ -254,8 +255,9 @@ def evolve(
     ``Trajectory.error``.
 
     ``on_record(t, state, row)``, if given, is called as each record is
-    made, in order, with the objects the returned trajectory holds, so a
-    caller can stream the records out while the run goes on.
+    made, in order, and the caller takes the records: the returned
+    trajectory keeps only the last one, so memory stays flat as records
+    grow; its final state, time and row, status and error are as without it.
     """
     snapshots: list[tuple[float, CurveState]] = []
     diagnostics: list[DiagnosticsRow] = []
@@ -263,6 +265,8 @@ def evolve(
 
     def record(t: float, state: CurveState) -> None:
         row = _diagnostics_row(t, state, config.model)
+        if on_record is not None:  # the caller has every earlier record
+            del snapshots[:], diagnostics[:]
         snapshots.append((t, state))
         diagnostics.append(row)
         if on_record is not None:

@@ -1,6 +1,7 @@
 """Config parsing, snapshot/summary formats, and CLI end-to-end runs."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,18 +288,26 @@ class TestRunCommand:
         )
         assert run_cli(["run", config]) == 1
 
-    def test_overflowing_polyline_exits_1(self, run_dir, capsys):
-        # a finite square whose area overflows to inf
-        (run_dir / "huge.txt").write_text("0 0\n1e200 0\n1e200 1e200\n0 1e200\n")
-        config = _write(
-            run_dir / "p.conf",
-            "curve = polyline\npolyline_path = huge.txt\nmodel = area_preserving\n"
-            "t_final = 1e-3\nout_dir = out-h\n",
-        )
-        with np.errstate(over="ignore"):
+    def test_overflowing_polyline_exits_1(self, run_dir, capsys, recwarn):
+        # finite squares whose area, or whose edges too, overflow: the error
+        # line is all of stderr, with no numpy warning ahead of it
+        squares = {
+            "huge.txt": "0 0\n1e200 0\n1e200 1e200\n0 1e200\n",
+            "max.txt": "-1.5e308 -1.5e308\n1.5e308 -1.5e308\n1.5e308 1.5e308\n-1.5e308 1.5e308\n",
+        }
+        for name, text in squares.items():
+            (run_dir / name).write_text(text)
+            config = _write(
+                run_dir / "p.conf",
+                f"curve = polyline\npolyline_path = {name}\nmodel = area_preserving\n"
+                "t_final = 1e-3\nout_dir = out-h\n",
+            )
             assert run_cli(["run", config]) == 1
-        assert "invalid polyline file" in capsys.readouterr().err
-        assert not (run_dir / "out-h").exists()
+            assert capsys.readouterr().err == (
+                "error: invalid polyline file: curve length and area must be finite\n"
+            )
+            assert [str(w.message) for w in recwarn] == []
+            assert not (run_dir / "out-h").exists()
 
     def test_solver_abort_exits_2(self, run_dir, capsys):
         # two nearly-coincident points: the first step hits the degeneracy guard
@@ -339,6 +348,47 @@ class TestRunCommand:
             rows = np.loadtxt(out / f"snapshot_{index:06d}.dat")
             assert rows.shape == (64, 4)
             assert CurveState(rows[:, 1:3]).area == float(line.split(",")[2])
+
+    # completed: records at steps 0, 5, ..., 20; aborted at step 7: steps 0,
+    # 5 and the last valid step 6
+    @pytest.mark.parametrize("fails_at,records,code", [(None, 5, 0), (7, 3, 2)])
+    def test_printed_snapshot_count_is_the_files_written(
+        self, fails_at, records, code, run_dir, capsys, monkeypatch
+    ):
+        inner, calls = stepping.step, itertools.count(1)
+
+        def failing(curve, config):
+            if next(calls) == fails_at:
+                raise LinearSolverError("injected")
+            return inner(curve, config)
+
+        monkeypatch.setattr(stepping, "step", failing)
+        config = _write(run_dir / "run.conf", self.CONFIG.format(out="out-n"))
+        assert run_cli(["run", config]) == code
+        printed = int(capsys.readouterr().out.split("snapshots=")[1].split()[0])
+        out = run_dir / "out-n"
+        assert printed == records == len(list(out.glob("snapshot_*.dat")))
+        assert printed == len((out / "summary.csv").read_text().splitlines()) - 1
+
+    def test_memory_does_not_grow_with_the_records(self, run_dir):
+        # M = 1000 and 99 steps recorded 100 or 10 times: a retained state
+        # would cost 16 KB of nodes per record
+        peaks = []
+        for every in (11, 1):
+            text = (
+                "curve = radial\nfolds = 10\namplitude = 0.3\nnodes = 1000\n"
+                "model = area_preserving\ntau = 1e-5\nt_final = 99e-5\n"
+                f"snapshot_every = {every}\nout_dir = out-{every}\n"
+            )
+            tracemalloc.start()
+            try:
+                assert run_cli(["run", _write(run_dir / "run.conf", text)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        written = [len(list((run_dir / f"out-{every}").glob("*.dat"))) for every in (11, 1)]
+        assert written == [10, 100]
+        assert peaks[1] - peaks[0] < 256 * 1024
 
     def test_rerun_clears_stale_snapshots(self, run_dir):
         # a shorter run into the same out_dir must not leave the longer

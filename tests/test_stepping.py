@@ -400,6 +400,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("case", ["completed", "extinct", "aborted", "aborted_mid_run"])
     def test_on_record_sees_every_record_in_order(self, case, monkeypatch):
+        # the callback gets the plain run's records; the streamed trajectory keeps the last
         curve, config, status = {
             "completed": (
                 build_circle(1.0, 64),
@@ -431,18 +432,24 @@ class TestEvolve:
             runs.append(evolve(curve, config, on_record=on_record))
         plain, trajectory = runs
 
-        assert trajectory.status is status
-        assert len(seen) == len(trajectory.snapshots) == len(trajectory.diagnostics)
-        for (t, state, row), (t_kept, state_kept), row_kept in zip(
-            seen, trajectory.snapshots, trajectory.diagnostics
-        ):
-            assert t == t_kept == row.t
-            assert state is state_kept
-            assert row == row_kept
+        assert plain.status is trajectory.status is status
+        assert trajectory.error == plain.error
+        assert trajectory.extinction_time == plain.extinction_time
+        assert [t for t, _, _ in seen] == plain.times == [row.t for _, _, row in seen]
+        assert [state.nodes.tobytes() for _, state, _ in seen] == [
+            state.nodes.tobytes() for _, state in plain.snapshots
+        ]
+        seen_rows = [row for _, _, row in seen]
+        assert np.array(seen_rows).tobytes() == np.array(plain.diagnostics).tobytes()
+
+        t_last, state_last, row_last = seen[-1]
+        assert len(trajectory.snapshots) == len(trajectory.diagnostics) == 1
+        assert trajectory.snapshots[0][0] == trajectory.final_time == t_last
+        assert trajectory.final_state is state_last
+        assert trajectory.diagnostics[0] is row_last
         assert plain.final_state.nodes.tobytes() == trajectory.final_state.nodes.tobytes()
-        assert np.array(plain.diagnostics).tobytes() == np.array(trajectory.diagnostics).tobytes()
         if case == "aborted_mid_run":
-            assert trajectory.times == pytest.approx([0.0, 5e-4, 6e-4])
+            assert plain.times == pytest.approx([0.0, 5e-4, 6e-4])
             assert trajectory.error == "step 7 (t=0.0007): injected"
 
     def test_csf_equals_zero_force_bitwise(self):
