@@ -70,7 +70,7 @@ SUMMARY_HEADER = "t,length,area,F,isoperimetric_ratio,uniformity_ratio,min_segme
 def _renamed(exc: ValueError, names: dict[str, str]) -> tuple[str, str]:
     """``exc``'s message, which starts with the violated parameter, with that
     parameter renamed by ``names`` if it is there; and its new name."""
-    name = str(exc).split()[0].strip("|")
+    name = str(exc).partition(" ")[0].strip("|")
     new = names.get(name, name)
     return str(exc).replace(name, new, 1), new
 
@@ -311,28 +311,27 @@ def _print_report(report: StudyReport) -> None:
 
 
 def _write_report(report: StudyReport, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [",".join(_REPORT_COLUMNS)] + [
         ",".join(column(r) for column in _REPORT_COLUMNS.values()) for r in report.records
     ]
-    (out_dir / "report.csv").write_text("\n".join(rows) + "\n")
-    for r in report.records:
-        run_dir = out_dir / r.name
-        run_dir.mkdir(parents=True, exist_ok=True)
-        write_summary(r.trajectory.diagnostics, run_dir / "summary.csv")
-    for name, table in report.error_tables.items():
-        lines = ["parameter,error"] + [f"{_fmt(p)},{_fmt(e)}" for p, e in table]
-        (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.csv").write_text("\n".join(rows) + "\n")
+        for r in report.records:
+            run_dir = out_dir / r.name
+            run_dir.mkdir(parents=True, exist_ok=True)
+            write_summary(r.trajectory.diagnostics, run_dir / "summary.csv")
+        for name, table in report.error_tables.items():
+            lines = ["parameter,error"] + [f"{_fmt(p)},{_fmt(e)}" for p, e in table]
+            (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise CurveFlowError(f"cannot write report to {out_dir}: {exc}") from exc
 
 
 def _cmd_study(args) -> int:
     given = {key: value for key, value in vars(args).items()
              if key not in ("command", "handler", "study", "out_dir")}
-    try:
-        report = args.study(**given)
-    except ValueError as exc:  # it names the study parameter; name its flag instead
-        flags = {name: "--" + _PARAMETER_KEYS.get(name, name).replace("_", "-") for name in given}
-        raise ValueError(_renamed(exc, flags)[0]) from None
+    report = args.study(**given)
     _write_report(report, Path(args.out_dir))
     _print_report(report)
     print(f"report written to {args.out_dir}")
@@ -386,8 +385,13 @@ def run_cli(argv: list[str] | None = None) -> int:
         # an overflow or NaN surfaces as a typed error, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # it names a parameter; name the flag that set it
+        flags = {name: "--" + _PARAMETER_KEYS.get(name, name).replace("_", "-")
+                 for name in vars(args)}
+        print(f"error: {_renamed(exc, flags)[0]}", file=sys.stderr)
         return 1
     except CurveFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -177,13 +177,11 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     Takes the per-node geometry the input's validation computed, or
     recomputes it if a step has taken it; raises DegenerateSegmentError
     when a segment is below EPSILON_GEOM (1e-12) and LinearSolverError when
-    the implicit solve fails.
+    the implicit solve fails.  A step that raises leaves its input as it was.
     """
     rows = curve.nodes.T
     m = rows.shape[1]
     geo = _state_geometry(curve)
-    # the pass serves one step only, so recorded states keep no per-node arrays
-    object.__setattr__(curve, "_pass", None)
     d, span, normal, kappa = geo.d, geo.span, geo.normal, geo.kappa
     if (shortest := d.min()) < EPSILON_GEOM:
         raise DegenerateSegmentError(
@@ -218,9 +216,12 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     rhs += rows
     solution = solve_cyclic_tridiagonal(lower, 1.0 + w_prev + w_next, upper, rhs.T)
     try:
-        return CurveState(solution)
+        advanced = CurveState(solution)
     except ValueError as exc:
         raise DegenerateSegmentError(f"step produced an invalid curve: {exc}") from exc
+    # the pass serves one step only, so recorded states keep no per-node arrays
+    object.__setattr__(curve, "_pass", None)
+    return advanced
 
 
 def _diagnostics_row(t: float, curve: CurveState, model: FlowModel) -> DiagnosticsRow:
@@ -246,13 +247,14 @@ def evolve(
 ) -> Trajectory:
     """Run the time loop from t=0 until t >= t_final (overshooting if needed).
 
-    Snapshots and diagnostics are recorded at t=0, every
-    ``config.snapshot_every`` steps, and at the final time.  A run whose
-    total length falls below 100*EPSILON_GEOM terminates cleanly as
-    ``EXTINCT`` with the extinction time; degenerate-segment and
-    linear-solver failures abort the run, keeping the last valid state as
-    the final snapshot and naming the failed step and its time in
-    ``Trajectory.error``.
+    It steps while the total length is at least EXTINCTION_LENGTH
+    (100*EPSILON_GEOM), and stops early only when a step fails.  Snapshots
+    and diagnostics are recorded at t=0, every ``config.snapshot_every``
+    steps, and for the last state however the run ended.  A last state
+    below EXTINCTION_LENGTH makes the run ``EXTINCT`` at its time (0.0 for
+    an initial curve already below it); a degenerate-segment or
+    linear-solver failure makes it ``ABORTED`` at the state the failed step
+    started from, naming that step and its time in ``Trajectory.error``.
 
     ``on_record(t, state, row)``, if given, is called as each record is
     made, in order, and the caller takes the records: the returned
@@ -267,37 +269,26 @@ def evolve(
         row = _diagnostics_row(t, state, config.model)
         if on_record is not None:  # the caller has every earlier record
             del snapshots[:], diagnostics[:]
+            on_record(t, state, row)
         snapshots.append((t, state))
         diagnostics.append(row)
-        if on_record is not None:
-            on_record(t, state, row)
 
     record(0.0, initial)
-    if initial.length < EXTINCTION_LENGTH:
-        trajectory.status = TrajectoryStatus.EXTINCT
-        trajectory.extinction_time = 0.0
-        return trajectory
-
     n_steps = math.ceil(config.t_final / config.tau - 1e-9)
-    state = initial
-    recorded_step = 0
-    for k in range(1, n_steps + 1):
-        t = k * config.tau
+    state, k = initial, 0
+    while state.length >= EXTINCTION_LENGTH and k < n_steps:
         try:
             state = step(state, config)
         except (DegenerateSegmentError, LinearSolverError) as exc:
             trajectory.status = TrajectoryStatus.ABORTED
-            trajectory.error = f"step {k} (t={t!r}): {exc}"
-            if recorded_step != k - 1:  # keep the last valid state on record
-                record((k - 1) * config.tau, state)
-            return trajectory
-
-        extinct = state.length < EXTINCTION_LENGTH
-        if extinct or k % config.snapshot_every == 0 or k == n_steps:
-            record(t, state)
-            recorded_step = k
-        if extinct:
-            trajectory.status = TrajectoryStatus.EXTINCT
-            trajectory.extinction_time = t
-            return trajectory
+            trajectory.error = f"step {k + 1} (t={(k + 1) * config.tau!r}): {exc}"
+            break
+        k += 1
+        if k % config.snapshot_every == 0:
+            record(k * config.tau, state)
+    if trajectory.final_state is not state:  # the last state is always on record
+        record(k * config.tau, state)
+    if state.length < EXTINCTION_LENGTH:
+        trajectory.status = TrajectoryStatus.EXTINCT
+        trajectory.extinction_time = trajectory.final_time
     return trajectory

@@ -1,5 +1,8 @@
 """Circle-oracle and study-harness tests."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,26 @@ from curveflow.analysis import nonconvex_fixture
 def implicit_time_of_radius(r, r0, force):
     """Closed-form t(r) for dr/dt = force - 1/r (independent of the solver)."""
     return (np.log((1.0 - force * r) / (1.0 - force * r0)) + force * (r - r0)) / force**2
+
+
+def exact_radius(r0, force, t):
+    """The root of the closed-form t(r) = t, to 50 digits, by bisection in
+    decimal arithmetic on r0's side of 1/force."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r0, force, t = Decimal(r0), Decimal(force), Decimal(t)
+
+        def elapsed(r):
+            return (force * (r - r0) + ((1 - force * r) / (1 - force * r0)).ln()) / force**2
+
+        near, far = r0, (Decimal(0) if force * r0 < 1 else r0 + force * t)
+        for _ in range(170):  # the bracket is at most 1 + force*t wide
+            mid = (near + far) / 2
+            if elapsed(mid) <= t:
+                near = mid
+            else:
+                far = mid
+        return near
 
 
 class TestCircleOracle:
@@ -92,6 +115,15 @@ class TestCircleOracle:
         for t in times:
             r = circle_radius(oracle, t)
             assert implicit_time_of_radius(r, 1.0, force) == pytest.approx(t, rel=1e-12)
+
+    @pytest.mark.parametrize("force", [2.0, 0.5, -1.0], ids=["growing", "shrinking", "negative"])
+    def test_constant_force_radius_at_short_times_is_within_4_ulp(self, force):
+        # |t(r) - t|/t is ill-conditioned here: one ulp of r moves it by
+        # about ulp/|r - r0|, so the radius itself is checked
+        oracle = CircleOracle(1.0, FlowModel.constant_force(force))
+        for t in (1e-6, 1e-4, 1e-2):
+            r = circle_radius(oracle, t)
+            assert abs(Decimal(r) - exact_radius(1.0, force, t)) <= 4 * Decimal(math.ulp(r))
 
     def test_constant_force_equilibrium_is_exact(self):
         oracle = CircleOracle(0.5, FlowModel.constant_force(2.0))

@@ -370,6 +370,28 @@ class TestRunCommand:
         assert printed == records == len(list(out.glob("snapshot_*.dat")))
         assert printed == len((out / "summary.csv").read_text().splitlines()) - 1
 
+    def test_aborted_run_computes_each_state_geometry_once(self, run_dir, monkeypatch):
+        # the 7th solve fails: the initial state and steps 1-6 are validated,
+        # and the abort record reads step 6's geometry, which the failed step left
+        calls, solves = [], itertools.count(1)
+        node_geometry, solve = geometry._node_geometry, stepping.solve_cyclic_tridiagonal
+
+        def counting(*args):
+            calls.append(args)
+            return node_geometry(*args)
+
+        def failing(*args):
+            if next(solves) == 7:
+                raise LinearSolverError("injected")
+            return solve(*args)
+
+        monkeypatch.setattr(geometry, "_node_geometry", counting)
+        monkeypatch.setattr(stepping, "solve_cyclic_tridiagonal", failing)
+        config = _write(run_dir / "run.conf", self.CONFIG.format(out="out-f"))
+        assert run_cli(["run", config]) == 2
+        assert len(list((run_dir / "out-f").glob("snapshot_*.dat"))) == 3
+        assert len(calls) == 7
+
     def test_memory_does_not_grow_with_the_records(self, run_dir):
         # M = 1000 and 99 steps recorded 100 or 10 times: a retained state
         # would cost 16 KB of nodes per record
@@ -503,17 +525,33 @@ class TestStudySubcommands:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["convergence", "--base-nodes", "3"], "--base-nodes"),
-            (["examples", "--nodes", "3"], "--nodes"),
-            (["convergence", "--base-tau", "-1"], "--base-tau"),
-            (["convergence", "--levels", "2"], "--levels"),
+            (["convergence", "--base-nodes", "3", "--out-dir", "bad-out"], "--base-nodes"),
+            (["examples", "--nodes", "3", "--out-dir", "bad-out"], "--nodes"),
+            (["convergence", "--base-tau", "-1", "--out-dir", "bad-out"], "--base-tau"),
+            (["convergence", "--levels", "2", "--out-dir", "bad-out"], "--levels"),
+            (["oracle", "--tau", "-1"], "--tau"),
         ],
-        ids=["base-nodes", "nodes", "base-tau", "levels"],
+        ids=["base-nodes", "nodes", "base-tau", "levels", "oracle-tau"],
     )
     def test_invalid_flag_is_named(self, run_dir, capsys, argv, flag):
-        # the study names its parameter; the error names the flag that set it
-        assert run_cli(argv + ["--out-dir", "bad-out"]) == 1
+        # the library names its parameter; the error names the flag that set it
+        assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+    def test_value_error_without_a_message_exits_1(self, run_dir, monkeypatch, capsys):
+        def failing(**_):
+            raise ValueError()
+
+        monkeypatch.setattr(cli, "run_reference_studies", failing)
+        assert run_cli(["examples"]) == 1
+        assert capsys.readouterr().err == "error: \n"
+
+    def test_unwritable_report_exits_2(self, run_dir, monkeypatch, capsys):
+        # --out-dir names a file, so the report directory cannot be made
+        (run_dir / "taken").write_text("")
+        monkeypatch.setattr(cli, "run_reference_studies", lambda **_: StudyReport(records=[]))
+        assert run_cli(["examples", "--out-dir", "taken"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write report to taken: ")
 
     @pytest.mark.parametrize(
         "argv, study, given",

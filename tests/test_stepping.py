@@ -286,6 +286,23 @@ class TestGeometryHandOff:
         stepped = step(curve, self.CONFIG)
         assert stepped.nodes.tobytes() == step(CurveState(nodes), self.CONFIG).nodes.tobytes()
 
+    @pytest.mark.parametrize("failure", ["solver", "invalid_curve"])
+    def test_a_failed_step_leaves_its_input_as_it_was(self, failure, monkeypatch):
+        # the abort record then reads the geometry validation computed
+        def failing(lower, diag, upper, rhs):
+            if failure == "solver":
+                raise LinearSolverError("injected")
+            nodes = np.array(rhs)
+            nodes[1] = nodes[0]
+            return nodes
+
+        monkeypatch.setattr(stepping, "solve_cyclic_tridiagonal", failing)
+        curve = build_radial_curve(5, 0.65, 200)
+        geometry = curve._pass
+        with pytest.raises((LinearSolverError, DegenerateSegmentError)):
+            step(curve, self.CONFIG)
+        assert curve._pass is geometry
+
     def test_recorded_states_keep_no_pass(self):
         # retained records hold no per-node arrays beyond their nodes
         trajectory = evolve(build_radial_curve(5, 0.65, 200), self.CONFIG)
@@ -330,6 +347,32 @@ class TestEvolve:
         assert trajectory.status is TrajectoryStatus.EXTINCT
         assert trajectory.extinction_time == pytest.approx(0.005, abs=5e-4)
         assert trajectory.diagnostics[-1].length < 1e-10
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["plain", "streamed"])
+    def test_extinct_initial_curve_takes_no_step(self, streamed, monkeypatch):
+        def no_step(curve, config):
+            raise AssertionError("an extinct curve was stepped")
+
+        monkeypatch.setattr(stepping, "step", no_step)
+        speck = CurveState(1e-12 * np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
+        assert speck.length < stepping.EXTINCTION_LENGTH
+        seen = []
+        on_record = (lambda *record: seen.append(record)) if streamed else None
+        config = SolverConfig(FlowModel.curve_shortening(), t_final=1e-3, tau=1e-4)
+        trajectory = evolve(speck, config, on_record=on_record)
+        assert trajectory.status is TrajectoryStatus.EXTINCT
+        assert trajectory.extinction_time == trajectory.final_time == 0.0
+        assert len(trajectory.snapshots) == len(trajectory.diagnostics) == 1
+        assert trajectory.final_state is speck
+        assert len(seen) == (1 if streamed else 0)
+
+    def test_extinction_at_the_final_step_is_extinct(self):
+        # t_final is the step at which the plain run goes extinct
+        curve, csf = build_circle(0.1, 64), FlowModel.curve_shortening()
+        t_extinct = evolve(curve, SolverConfig(csf, t_final=0.02, tau=1e-5)).extinction_time
+        trajectory = evolve(curve, SolverConfig(csf, t_final=t_extinct, tau=1e-5))
+        assert trajectory.status is TrajectoryStatus.EXTINCT
+        assert trajectory.extinction_time == trajectory.final_time == t_extinct
 
     def test_immediate_abort_keeps_initial_snapshot(self):
         # one segment below the 1e-12 threshold, total length far above the
