@@ -259,10 +259,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     record, analytic, error = circle_extinction(args.tau)
-    if error is None:
+    if error is None:  # an aborted run also says why
+        why = "" if record.trajectory.error is None else f": {record.trajectory.error}"
         raise CurveFlowError(
-            f"shrinking circle did not reach extinction ({record.status}:"
-            f" {record.trajectory.error})"
+            f"shrinking circle did not reach extinction ({record.status} at"
+            f" t={_fmt(record.trajectory.final_time)}{why})"
         )
     print(f"shrinking unit circle, tau={_fmt(args.tau)}, nodes=200")
     print(f"extinction time: measured={_fmt(record.extinction_time)} analytic={_fmt(analytic)}")
@@ -315,7 +316,6 @@ def _write_report(report: StudyReport, out_dir: Path) -> None:
         ",".join(column(r) for column in _REPORT_COLUMNS.values()) for r in report.records
     ]
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.csv").write_text("\n".join(rows) + "\n")
         for r in report.records:
             run_dir = out_dir / r.name
@@ -331,8 +331,13 @@ def _write_report(report: StudyReport, out_dir: Path) -> None:
 def _cmd_study(args) -> int:
     given = {key: value for key, value in vars(args).items()
              if key not in ("command", "handler", "study", "out_dir")}
+    out_dir = Path(args.out_dir)
+    try:  # before the study runs, so an unwritable --out-dir costs no run
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CurveFlowError(f"cannot write report to {out_dir}: {exc}") from exc
     report = args.study(**given)
-    _write_report(report, Path(args.out_dir))
+    _write_report(report, out_dir)
     _print_report(report)
     print(f"report written to {args.out_dir}")
     if any(r.status == TrajectoryStatus.ABORTED.value for r in report.records):

@@ -9,9 +9,9 @@ One step solves, for every node i with periodic wraparound,
           + alpha_i^n * (X_{i+1}^{n+1} - X_{i-1}^{n+1}) / (d_i+d_{i+1}),
 
 with the segment lengths d_i, the forcing F, the normal term and the
-tangential speed alpha all lagged at time n.  The implicit part makes each
-planar coordinate an M x M cyclic tridiagonal system; both coordinates and
-the Sherman-Morrison column of the corners are solved by one banded solve.
+tangential speed alpha all lagged at time n.  A step runs ``_velocity`` (F and
+alpha), ``_bands`` (the M x M cyclic tridiagonal matrix of both coordinates),
+``solve_cyclic_tridiagonal`` (one banded solve) and ``CurveState``, in order.
 
 The tangential term alpha_i*T_i, T_i = (X_{i+1} - X_{i-1})/(d_i+d_{i+1}),
 redistributes the nodes along the curve without changing its shape or its
@@ -40,7 +40,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DegenerateSegmentError, LinearSolverError
 from .flows import FlowModel, forcing_value
-from .geometry import EPSILON_GEOM, CurveState, _is_count, _is_real, _state_geometry
+from .geometry import EPSILON_GEOM, CurveState, _NodeGeometry, _is_count, _is_real, _state_geometry
 from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchmarks/tracer.py)
 
 FloatArray = NDArray[np.float64]
@@ -171,6 +171,32 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
     return x[0] if rhs.ndim == 1 else x.T
 
 
+def _velocity(geo: _NodeGeometry, length: float, model: FlowModel) -> tuple[float, FloatArray]:
+    """The law's forcing F and the tangential speed alpha, which cancels the
+    normal motion's rate of each d_i/L and relaxes the spacing toward L/M at <kappa^2>."""
+    # _diagnostics_row reads the same geometry, so it records the applied F bitwise
+    force = forcing_value(model, geo.kappa, geo.span, geo.normal.T)
+    velocity = geo.curvature_vec + force * geo.normal
+    jump = velocity - np.concatenate((velocity[:, -1:], velocity[:, :-1]), axis=1)
+    jump *= geo.tangent
+    rate = jump[0] + jump[1]
+    relax = float(np.dot(geo.kappa * geo.kappa, geo.span)) / (2.0 * length)
+    drift = float(rate.sum()) / length - relax
+    alpha = np.cumsum(geo.d * drift + relax * length / rate.size - rate)
+    alpha -= float(alpha.sum()) / rate.size
+    return force, alpha
+
+
+def _bands(geo: _NodeGeometry, alpha: FloatArray, tau: float) -> tuple[FloatArray, ...]:
+    """The implicit matrix's row i couples X_{i-1} by lower_i, X_i by 1 + w_prev_i +
+    w_next_i and X_{i+1} by upper_i; the centred tangential term leaves the diagonal."""
+    weight = (2.0 * tau) / geo.span
+    w_prev = weight / geo.d
+    w_next = weight / geo.d_next
+    advect = (tau * alpha) / geo.span
+    return advect - w_prev, 1.0 + w_prev + w_next, -w_next - advect
+
+
 def step(curve: CurveState, config: SolverConfig) -> CurveState:
     """Advance the curve by one semi-implicit backward-Euler step.
 
@@ -179,42 +205,14 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     when a segment is below EPSILON_GEOM (1e-12) and LinearSolverError when
     the implicit solve fails.  A step that raises leaves its input as it was.
     """
-    rows = curve.nodes.T
-    m = rows.shape[1]
     geo = _state_geometry(curve)
-    d, span, normal, kappa = geo.d, geo.span, geo.normal, geo.kappa
-    if (shortest := d.min()) < EPSILON_GEOM:
+    if (shortest := geo.d.min()) < EPSILON_GEOM:
         raise DegenerateSegmentError(
             f"segment length {shortest:.3e} below threshold {EPSILON_GEOM:.3e}"
         )
-    # _diagnostics_row reads the same geometry, so it records the applied F bitwise
-    force = forcing_value(config.model, kappa, span, normal.T)
-
-    # tangential speed: cancel the normal motion's rate of each d_i/L and
-    # relax the spacing toward L/M at the rate <kappa^2>
-    velocity = geo.curvature_vec + force * normal
-    jump = velocity - np.concatenate((velocity[:, -1:], velocity[:, :-1]), axis=1)
-    jump *= geo.tangent
-    rate = jump[0] + jump[1]
-    length = curve.length
-    relax = float(np.dot(kappa * kappa, span)) / (2.0 * length)
-    drift = float(rate.sum()) / length - relax
-    alpha = np.cumsum(d * drift + relax * length / m - rate)
-    alpha -= float(alpha.sum()) / m
-
-    # row i couples X_{i-1} by lower_i, X_i by 1 + w_prev_i + w_next_i and
-    # X_{i+1} by upper_i; the centred tangential term leaves the diagonal
-    tau = config.tau
-    weight = (2.0 * tau) / span
-    w_prev = weight / d
-    w_next = weight / geo.d_next
-    advect = (tau * alpha) / span
-    lower = advect - w_prev
-    upper = -w_next - advect
-
-    rhs = normal * (tau * force)
-    rhs += rows
-    solution = solve_cyclic_tridiagonal(lower, 1.0 + w_prev + w_next, upper, rhs.T)
+    force, alpha = _velocity(geo, curve.length, config.model)
+    rhs = geo.normal * (config.tau * force) + curve.nodes.T
+    solution = solve_cyclic_tridiagonal(*_bands(geo, alpha, config.tau), rhs.T)
     try:
         advanced = CurveState(solution)
     except ValueError as exc:

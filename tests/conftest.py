@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from curveflow import (
     FlowModel,
@@ -11,6 +12,10 @@ from curveflow import (
     evolve,
     run_reference_studies,
 )
+
+# every run draws the same examples and keeps no example database
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,8 @@ can back both a targeted module test and an aggregated acceptance
 criterion.
 """
 
+import math
+
 import numpy as np
 
 from curveflow import (
@@ -24,6 +26,25 @@ def initial_row(curve: CurveState) -> DiagnosticsRow:
     area-preserving law, whose ``forcing`` is the F a step applies."""
     config = SolverConfig(FlowModel.area_preserving(), t_final=0.0)
     return evolve(curve, config).diagnostics[0]
+
+
+def regular_polygon_radii(radius: float, m: int, tau: float, steps: int,
+                          force: float | None = None) -> list[float]:
+    """Radii R_0 .. R_steps of the regular M-gon under the scheme, in plain floats.
+
+    The polygon stays regular and its tangential speed vanishes, so one step
+    maps R to R' = (R + tau*F*cos(pi/M)) / (1 + tau/R^2) exactly: the
+    implicit diffusion contributes -tau*R'/R^2 and the lagged normal term
+    tau*F*cos(pi/M).  ``force`` is the constant F, or None for the
+    area-preserving law's F = 1/(R cos(pi/M)), which makes R' = R.
+    """
+    c = math.cos(math.pi / m)
+    radii = [radius]
+    for _ in range(steps):
+        r = radii[-1]
+        f = 1.0 / (r * c) if force is None else force
+        radii.append((r + tau * f * c) / (1.0 + tau / (r * r)))
+    return radii
 
 
 def rigid_motion(curve: CurveState, angle: float, shift) -> CurveState:

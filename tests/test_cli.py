@@ -464,6 +464,14 @@ class TestStudySubcommands:
         assert "extinction-time error" in out
         assert "radius drift" in out
 
+    def test_oracle_without_extinction_exits_2(self, run_dir, capsys):
+        # at tau = 0.3 the 200-gon completes [0, 1] without shrinking to a
+        # point; the run has no error to report, so none is printed
+        assert run_cli(["oracle", "--tau", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: shrinking circle did not reach extinction (completed at t=1.2)\n"
+        assert "None" not in err
+
     def test_examples_fast(self, run_dir, capsys):
         assert run_cli(
             ["examples", "--nodes", "100", "--tau", "5e-4", "--out-dir", "ex-out"]
@@ -546,12 +554,25 @@ class TestStudySubcommands:
         assert run_cli(["examples"]) == 1
         assert capsys.readouterr().err == "error: \n"
 
-    def test_unwritable_report_exits_2(self, run_dir, monkeypatch, capsys):
-        # --out-dir names a file, so the report directory cannot be made
+    @pytest.mark.parametrize(
+        "command, study",
+        [("examples", "run_reference_studies"), ("convergence", "convergence_study")],
+        ids=["examples", "convergence"],
+    )
+    def test_unwritable_report_exits_2(self, run_dir, monkeypatch, capsys, command, study):
+        # --out-dir names a file, so the report directory cannot be made, and
+        # that is found before the study runs
         (run_dir / "taken").write_text("")
-        monkeypatch.setattr(cli, "run_reference_studies", lambda **_: StudyReport(records=[]))
-        assert run_cli(["examples", "--out-dir", "taken"]) == 2
+        calls = []
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return StudyReport(records=[])
+
+        monkeypatch.setattr(cli, study, recording)
+        assert run_cli([command, "--out-dir", "taken"]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write report to taken: ")
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv, study, given",

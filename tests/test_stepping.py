@@ -18,11 +18,12 @@ from curveflow import (
     discrete_curvature,
     evolve,
     forcing_value,
+    geometry,
     segment_lengths,
     step,
     stepping,
 )
-from support import check_bitwise_equivalence
+from support import check_bitwise_equivalence, regular_polygon_radii
 
 
 def failing_at_step(k):
@@ -71,7 +72,8 @@ def oracle_force_and_tangential_speed(nodes, model):
 
 
 def dense_backward_euler(nodes, tau, model):
-    """Independent dense-matrix implementation of one semi-implicit step."""
+    """Independent dense-matrix assembly of one semi-implicit step: the M x M
+    matrix and the (M, 2) right-hand side."""
     m = nodes.shape[0]
     force, alpha = oracle_force_and_tangential_speed(nodes, model)
     matrix = np.zeros((m, m))
@@ -86,7 +88,7 @@ def dense_backward_euler(nodes, tau, model):
         matrix[i, i] = 1.0 + 2.0 * tau / (span * d) + 2.0 * tau / (span * dn)
         chord = nxt - prev
         rhs[i] = nodes[i] + tau * force * np.array([chord[1], -chord[0]]) / span
-    return np.linalg.solve(matrix, rhs)
+    return matrix, rhs
 
 
 class TestSolverConfig:
@@ -153,8 +155,41 @@ class TestStep:
         curve = build_radial_curve(5, 0.65, 200)
         config = SolverConfig(model=model, t_final=1e-4, tau=1e-4)
         mine = step(curve, config).nodes
-        oracle = dense_backward_euler(curve.nodes, 1e-4, model)
+        matrix, rhs = dense_backward_euler(curve.nodes, 1e-4, model)
+        oracle = np.linalg.solve(matrix, rhs)
         assert np.max(np.abs(mine - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+        # each stage on its own: the velocity stage against the node-by-node
+        # F and alpha, the bands (corners included) against the dense matrix
+        geo = geometry._state_geometry(curve)
+        force, alpha = stepping._velocity(geo, curve.length, model)
+        oracle_force, oracle_alpha = oracle_force_and_tangential_speed(curve.nodes, model)
+        assert force == pytest.approx(oracle_force, rel=1e-12, abs=1e-12)
+        assert np.max(np.abs(alpha - oracle_alpha)) <= 1e-12 * np.max(np.abs(oracle_alpha))
+        i = np.arange(200)
+        dense_bands = (matrix[i, i - 1], matrix[i, i], matrix[i, (i + 1) % 200])
+        for band, dense in zip(stepping._bands(geo, alpha, 1e-4), dense_bands, strict=True):
+            assert np.allclose(band, dense, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "model, force",
+        [(FlowModel.curve_shortening(), 0.0), (FlowModel.constant_force(2.0), 2.0),
+         (FlowModel.constant_force(-1.0), -1.0), (FlowModel.area_preserving(), None)],
+        ids=["csf", "F=2", "F=-1", "area_preserving"],
+    )
+    @pytest.mark.parametrize("m", [7, 8, 200])
+    def test_regular_polygon_follows_its_exact_discrete_solution(self, m, model, force):
+        # the whole kernel (bands, corners, Sherman-Morrison) against the
+        # closed-form recurrence the regular M-gon obeys step by step
+        tau, steps = 1e-4, 500
+        config = SolverConfig(model, t_final=steps * tau, tau=tau, snapshot_every=1)
+        trajectory = evolve(build_circle(1.0, m), config)
+        assert trajectory.status is TrajectoryStatus.COMPLETED
+        assert len(trajectory.snapshots) == steps + 1
+        expected = regular_polygon_radii(1.0, m, tau, steps, force)
+        for k, (_, state) in enumerate(trajectory.snapshots):
+            radii = np.linalg.norm(state.nodes, axis=1)
+            assert np.max(np.abs(radii / expected[k] - 1.0)) <= 1e-12, f"step {k}"
 
     def test_consistency_with_explicit_rate(self):
         # (X^1 - X^0)/tau approaches the explicit right-hand side
