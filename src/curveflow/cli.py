@@ -265,16 +265,13 @@ def _cmd_oracle(args) -> int:
             f"shrinking circle did not reach extinction ({record.status} at"
             f" t={_fmt(record.trajectory.final_time)}{why})"
         )
-    print(f"shrinking unit circle, tau={_fmt(args.tau)}, nodes=200")
+    circle = record.trajectory.snapshots[0][1]
+    print(f"shrinking unit circle, tau={_fmt(args.tau)}, nodes={circle.node_count}")
     print(f"extinction time: measured={_fmt(record.extinction_time)} analytic={_fmt(analytic)}")
     print(f"extinction-time error: {_fmt(error)}")
 
-    stationary = evolve(
-        build_circle(1.0, 200),
-        SolverConfig(
-            model=FlowModel.area_preserving(), t_final=0.1, tau=1e-4, snapshot_every=200
-        ),
-    )
+    conserved = SolverConfig(FlowModel.area_preserving(), t_final=0.1, tau=1e-4, snapshot_every=200)
+    stationary = evolve(circle, conserved)
     radii = np.linalg.norm(stationary.final_state.nodes, axis=1)
     print(
         f"conserved-flow circle over [0, 0.1]: max radius drift {_fmt(np.max(np.abs(radii - 1.0)))}"

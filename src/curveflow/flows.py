@@ -75,14 +75,14 @@ def forcing_value(
 ) -> float:
     """Forcing term of the given law, evaluated on current geometry.
 
-    ``span`` holds s_i = d_i + d_{i+1} and ``normal`` the (M, 2) discrete
-    normals N_i = (X_{i+1} - X_{i-1})^perp / s_i.  For AREA_PRESERVING the
-    result is sum_i kappa_i*s_i / sum_i |N_i|^2*s_i: with it the area rate
-    sum_i (X_{i+1} - X_{i-1})^perp . V_i / 2 of the velocity
-    V_i = k_i + F*N_i is zero, because the curvature vector satisfies
-    k_i . N_i = -kappa_i.
+    ``span`` holds s_i = d_i + d_{i+1} and ``normal`` the discrete normals
+    N_i = (X_{i+1} - X_{i-1})^perp / s_i as (2, M) x and y rows.  For
+    AREA_PRESERVING the result is sum_i kappa_i*s_i / sum_i |N_i|^2*s_i:
+    with it the area rate sum_i (X_{i+1} - X_{i-1})^perp . V_i / 2 of the
+    velocity V_i = k_i + F*N_i is zero, because the curvature vector
+    satisfies k_i . N_i = -kappa_i.
     """
     if model.law is FlowLaw.AREA_PRESERVING:
-        normal_sq = np.einsum("ij,ij->i", normal, normal)
+        normal_sq = np.einsum("ij,ij->j", normal, normal)
         return float(np.dot(kappa, span) / np.dot(normal_sq, span))
     return model.force

@@ -122,8 +122,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
     Row i couples x_{i-1} by ``lower[i]``, x_i by ``diag[i]`` and x_{i+1} by
     ``upper[i]``, indices wrapping, so ``lower[0]`` and ``upper[-1]`` are the
     corners; the three bands have length M >= 4.  ``rhs`` may be a vector of
-    length M or an (M, k) stack of right-hand sides, all solved with one
-    factorization.
+    length M or a (k, M) stack of right-hand sides as rows, all solved with
+    one factorization; the solution has ``rhs``'s layout.
 
     With A = T + u v^T, u = gamma*e_0 + upper[-1]*e_{M-1} and
     v = e_0 + (lower[0]/gamma)*e_{M-1}, one banded solve of T gives T^{-1} b
@@ -137,8 +137,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
     if lower.shape != (m,) or upper.shape != (m,):
         raise ValueError("lower and upper must have length M")
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != m:
-        raise ValueError("rhs must be a vector of length M or an (M, k) matrix")
+    if rhs.ndim not in (1, 2) or rhs.shape[-1] != m:
+        raise ValueError("rhs must be a vector of length M or a (k, M) matrix")
 
     # Strict dominance up to roundoff of the row sums: rows like 1 + |a| + |c|
     # with |a| ~ 1e16 compute a margin of exactly 0 even though the exact
@@ -155,27 +155,27 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
     bands[1, -1] -= lower[0] * upper[-1] / gamma
     # the k right-hand sides as rows, then u in the spare last row
     work = np.zeros((rhs.size // m + 1, m))
-    work[:-1] = rhs.T
+    work[:-1] = rhs
     work[-1, 0], work[-1, -1] = gamma, upper[-1]
     y = solve_banded((1, 1), bands, work.T, overwrite_ab=True, overwrite_b=True,
                      check_finite=False).T
-    z = y[-1]
-    ratio = lower[0] / gamma
-    denom = 1.0 + z[0] + ratio * z[-1]
-    if not np.isfinite(denom) or abs(denom) < 1e-300:
+    x, z = y[:-1], y[-1]
+    ratio = float(lower[0] / gamma)
+    denom = 1.0 + float(z[0]) + ratio * float(z[-1])
+    if not math.isfinite(denom) or abs(denom) < 1e-300:
         raise LinearSolverError("rank-one correction is singular")
-    factor = (y[:-1, 0] + ratio * y[:-1, -1]) / denom
-    x = y[:-1] - factor[:, None] * z
+    for row in x:  # Sherman-Morrison in place: x = y - (v.y / (1 + v.z)) z
+        row -= (float(row[0]) + ratio * float(row[-1])) / denom * z
     if not np.isfinite(x).all():
         raise LinearSolverError("solver produced non-finite values")
-    return x[0] if rhs.ndim == 1 else x.T
+    return x[0] if rhs.ndim == 1 else x
 
 
 def _velocity(geo: _NodeGeometry, length: float, model: FlowModel) -> tuple[float, FloatArray]:
     """The law's forcing F and the tangential speed alpha, which cancels the
     normal motion's rate of each d_i/L and relaxes the spacing toward L/M at <kappa^2>."""
     # _diagnostics_row reads the same geometry, so it records the applied F bitwise
-    force = forcing_value(model, geo.kappa, geo.span, geo.normal.T)
+    force = forcing_value(model, geo.kappa, geo.span, geo.normal)
     velocity = geo.curvature_vec + force * geo.normal
     jump = velocity - np.concatenate((velocity[:, -1:], velocity[:, :-1]), axis=1)
     jump *= geo.tangent
@@ -212,9 +212,9 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
         )
     force, alpha = _velocity(geo, curve.length, config.model)
     rhs = geo.normal * (config.tau * force) + curve.nodes.T
-    solution = solve_cyclic_tridiagonal(*_bands(geo, alpha, config.tau), rhs.T)
+    solution = solve_cyclic_tridiagonal(*_bands(geo, alpha, config.tau), rhs)
     try:
-        advanced = CurveState(solution)
+        advanced = CurveState(solution.T)
     except ValueError as exc:
         raise DegenerateSegmentError(f"step produced an invalid curve: {exc}") from exc
     # the pass serves one step only, so recorded states keep no per-node arrays
@@ -231,7 +231,7 @@ def _diagnostics_row(t: float, curve: CurveState, model: FlowModel) -> Diagnosti
         t=t,
         length=length,
         area=area,
-        forcing=forcing_value(model, geo.kappa, geo.span, geo.normal.T),
+        forcing=forcing_value(model, geo.kappa, geo.span, geo.normal),
         isoperimetric_ratio=length * length / (4.0 * np.pi * abs(area)),
         uniformity_ratio=float(d.max() / d.min()),
         min_segment=float(d.min()),

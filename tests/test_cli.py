@@ -309,6 +309,33 @@ class TestRunCommand:
             assert [str(w.message) for w in recwarn] == []
             assert not (run_dir / "out-h").exists()
 
+    def test_extinct_run_exits_0(self, run_dir, capsys):
+        # a circle of radius 0.1 shrinks to a point at t = 0.005 < t_final
+        config = _write(
+            run_dir / "x.conf",
+            "curve = circle\nradius = 0.1\nnodes = 16\nmodel = csf\n"
+            "tau = 1e-4\nt_final = 0.01\nout_dir = out-x\n",
+        )
+        assert run_cli(["run", config]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("status=extinct ")
+        assert out[1].startswith("extinction at t=")
+
+    def test_out_dir_that_is_a_file_exits_2(self, run_dir, capsys):
+        (run_dir / "taken").write_text("")
+        config = _write(run_dir / "run.conf", self.CONFIG.format(out="taken"))
+        assert run_cli(["run", config]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot prepare output directory taken: "
+        )
+
+    def test_unwritable_summary_exits_2_before_any_snapshot(self, run_dir, capsys):
+        (run_dir / "out-s" / "summary.csv").mkdir(parents=True)
+        config = _write(run_dir / "run.conf", self.CONFIG.format(out="out-s"))
+        assert run_cli(["run", config]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write summary out-s/summary.csv: ")
+        assert list((run_dir / "out-s").glob("snapshot_*.dat")) == []
+
     def test_solver_abort_exits_2(self, run_dir, capsys):
         # two nearly-coincident points: the first step hits the degeneracy guard
         (run_dir / "pinched.txt").write_text("0 0\n5e-13 0\n1 0\n1 1\n0 1\n")
@@ -461,6 +488,7 @@ class TestStudySubcommands:
     def test_oracle(self, run_dir, capsys):
         assert run_cli(["oracle", "--tau", "2e-4"]) == 0
         out = capsys.readouterr().out
+        assert out.splitlines()[0].endswith(", nodes=200")
         assert "extinction-time error" in out
         assert "radius drift" in out
 
@@ -573,6 +601,30 @@ class TestStudySubcommands:
         assert run_cli([command, "--out-dir", "taken"]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write report to taken: ")
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "blocked, message",
+        [
+            ("report.csv", "cannot write report to cv-out: "),
+            ("circle-extinction-tau-0.01/summary.csv",
+             "cannot write summary cv-out/circle-extinction-tau-0.01/summary.csv: "),
+        ],
+        ids=["report", "summary"],
+    )
+    def test_unwritable_report_file_exits_2(self, run_dir, capsys, blocked, message):
+        # a directory where the study writes a file
+        (run_dir / "cv-out" / blocked).mkdir(parents=True)
+        argv = ["convergence", "--base-nodes", "8", "--base-tau", "0.01", "--levels", "3"]
+        assert run_cli(argv + ["--out-dir", "cv-out"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_unexpected_failure_exits_2(self, run_dir, monkeypatch, capsys):
+        def failing(**_):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "run_reference_studies", failing)
+        assert run_cli(["examples", "--out-dir", "failed-out"]) == 2
+        assert capsys.readouterr().err == "error: unexpected failure: injected\n"
 
     @pytest.mark.parametrize(
         "argv, study, given",

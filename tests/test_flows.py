@@ -20,11 +20,12 @@ from curveflow import (
 
 
 def forcing_inputs(curve):
-    """kappa, the spans s_i = d_i + d_{i+1} and the discrete normals N_i."""
+    """kappa, the spans s_i = d_i + d_{i+1} and the discrete normals N_i as
+    (2, M) rows."""
     d = segment_lengths(curve)
     span = d + np.roll(d, -1)
     chord = np.roll(curve.nodes, -1, axis=0) - np.roll(curve.nodes, 1, axis=0)
-    normal = np.stack([chord[:, 1], -chord[:, 0]], axis=1) / span[:, None]
+    normal = np.stack([chord[:, 1], -chord[:, 0]]) / span
     return discrete_curvature(curve), span, normal
 
 

@@ -56,6 +56,11 @@ def arc_length(folds, amplitude):
 
 
 class TestCurveState:
+    @pytest.mark.parametrize("shape", [(5, 3), (10,)])
+    def test_rejects_nodes_not_of_shape_m_by_2(self, shape):
+        with pytest.raises(ValueError, match=r"nodes must have shape \(M, 2\)"):
+            CurveState(np.ones(shape))
+
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ValueError, match="at least 4"):
             CurveState(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))

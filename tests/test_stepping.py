@@ -249,7 +249,7 @@ class TestStep:
         # result, and step reports it as a degenerate segment
         def coincident(lower, diag, upper, rhs):
             nodes = np.array(rhs)
-            nodes[1] = nodes[0]
+            nodes[:, 1] = nodes[:, 0]
             return nodes
 
         monkeypatch.setattr(stepping, "solve_cyclic_tridiagonal", coincident)
@@ -328,7 +328,7 @@ class TestGeometryHandOff:
             if failure == "solver":
                 raise LinearSolverError("injected")
             nodes = np.array(rhs)
-            nodes[1] = nodes[0]
+            nodes[:, 1] = nodes[:, 0]
             return nodes
 
         monkeypatch.setattr(stepping, "solve_cyclic_tridiagonal", failing)

@@ -70,12 +70,12 @@ def test_pure_tridiagonal_corner_free_path():
 def test_multiple_right_hand_sides_share_factorization():
     rng = np.random.default_rng(5)
     lower, diag, upper, _ = random_dominant_system(rng, 40)
-    rhs = rng.uniform(-1, 1, (40, 3))
+    rhs = rng.uniform(-1, 1, (3, 40))  # right-hand sides as rows
     stacked = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-    assert stacked.shape == (40, 3)
-    for col in range(3):
-        single = solve_cyclic_tridiagonal(lower, diag, upper, rhs[:, col])
-        assert np.allclose(stacked[:, col], single, rtol=1e-13)
+    assert stacked.shape == (3, 40)
+    for row in range(3):
+        single = solve_cyclic_tridiagonal(lower, diag, upper, rhs[row])
+        assert np.allclose(stacked[row], single, rtol=1e-13)
 
 
 def test_rejects_dominance_violation():
@@ -112,6 +112,7 @@ def test_rejects_bad_shapes():
         (np.zeros(7), *bands[1:], np.ones(8)),  # lower of length M-1
         (*bands[:2], np.zeros(7), np.ones(8)),  # upper of length M-1
         (*bands, np.ones(9)),
+        (*bands, np.ones((8, 2))),  # right-hand sides as columns
         (*bands, np.ones((8, 2, 1))),  # a 3-D rhs
         (bands[0], np.ones((8, 1)), bands[2], np.ones(8)),  # a 2-D diag
     ]:
