@@ -10,8 +10,8 @@ Subcommands:
 * ``examples``       run the bundled reference studies;
 * ``convergence``    run the spatial/temporal refinement study.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 solver abort or
-unexpected failure.
+Exit codes: 0 success, 1 configuration/validation error, 2 solver abort,
+unwritable output or unexpected failure.
 """
 
 from __future__ import annotations
@@ -130,6 +130,11 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunSpec:
             raise ConfigError(f"missing required key {key!r}")
         return values[key]
 
+    def choice(key: str, options):
+        if (value := required(key)) not in options:
+            raise ConfigError(f"{key} must be one of {'|'.join(options)}, got {value!r}", lines[key])
+        return value
+
     def construct(build, *args, names=()):
         """Call a validating constructor with the ``names`` whose key is given,
         so every default stays in its signature.  Its ValueError, whose message
@@ -143,23 +148,14 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunSpec:
             message, key = _renamed(exc, _PARAMETER_KEYS)
             raise ConfigError(message, lines.get(key)) from None
 
-    curve = required("curve")
-    if curve not in _CURVES:
-        raise ConfigError(
-            f"curve must be one of {'|'.join(_CURVES)}, got {curve!r}", lines["curve"]
-        )
+    curve = choice("curve", _CURVES)
     for key, lineno in lines.items():
         if curve not in (_KEYS[key][1] or _CURVES):
             raise ConfigError(
                 f"exactly one initial curve: {key} does not apply to curve = {curve}", lineno
             )
 
-    model_kind, laws = required("model"), [law.value for law in FlowLaw]
-    if model_kind not in laws:
-        raise ConfigError(
-            f"model must be one of {'|'.join(laws)}, got {model_kind!r}", lines["model"]
-        )
-    law = FlowLaw(model_kind)
+    law = FlowLaw(choice("model", [kind.value for kind in FlowLaw]))
     if law is FlowLaw.CONSTANT_FORCE:
         required("force")
     elif "force" in values:

@@ -19,8 +19,8 @@ Sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -41,8 +41,11 @@ def _is_count(value, least: int) -> bool:
 
 def _is_real(value) -> bool:
     """A real number, not a bool, finite as a float (no int too large for one)."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and abs(value) <= sys.float_info.max)
+    try:  # math.isfinite, as a comparison with the float64 maximum overflows a float32
+        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -163,8 +166,7 @@ def read_polyline(path: str | Path) -> CurveState:
 
 def write_polyline(curve: CurveState, path: str | Path) -> None:
     """Write a curve in the polyline format with 17 significant digits."""
-    lines = [f"{x:.17g} {y:.17g}" for x, y in curve.nodes]
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, curve.nodes, fmt="%.17g")
 
 
 class _NodeGeometry(NamedTuple):

@@ -46,7 +46,7 @@ from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchma
 FloatArray = NDArray[np.float64]
 
 #: A run is flagged extinct when the total length falls below this, 100
-#: times the degeneracy threshold.
+#: times the degeneracy threshold, or when every segment falls below that.
 EXTINCTION_LENGTH = 100.0 * EPSILON_GEOM
 
 
@@ -238,6 +238,15 @@ def _diagnostics_row(t: float, curve: CurveState, model: FlowModel) -> Diagnosti
     )
 
 
+def _extinct(state: CurveState) -> bool:
+    """Shorter than EXTINCTION_LENGTH, or with every segment below EPSILON_GEOM;
+    the length is tested first, so an ordinary state's geometry is not read."""
+    return state.length < EXTINCTION_LENGTH or (
+        state.length < state.node_count * EPSILON_GEOM
+        and _state_geometry(state).d.max() < EPSILON_GEOM
+    )
+
+
 def evolve(
     initial: CurveState,
     config: SolverConfig,
@@ -245,14 +254,17 @@ def evolve(
 ) -> Trajectory:
     """Run the time loop from t=0 until t >= t_final (overshooting if needed).
 
-    It steps while the total length is at least EXTINCTION_LENGTH
-    (100*EPSILON_GEOM), and stops early only when a step fails.  Snapshots
-    and diagnostics are recorded at t=0, every ``config.snapshot_every``
-    steps, and for the last state however the run ended.  A last state
-    below EXTINCTION_LENGTH makes the run ``EXTINCT`` at its time (0.0 for
-    an initial curve already below it); a degenerate-segment or
-    linear-solver failure makes it ``ABORTED`` at the state the failed step
-    started from, naming that step and its time in ``Trajectory.error``.
+    It steps while the state is not extinct, and stops early only when a
+    step fails.  A state is extinct when its total length is below
+    EXTINCTION_LENGTH (100*EPSILON_GEOM), or when every one of its segments
+    is below EPSILON_GEOM (1e-12), the threshold ``step`` rejects, so a
+    collapse of more than 100 nodes does not abort.  Snapshots and
+    diagnostics are recorded at t=0, every ``config.snapshot_every`` steps,
+    and for the last state however the run ended.  An extinct last state
+    makes the run ``EXTINCT`` at its time (0.0 for an initial curve already
+    extinct); a degenerate-segment or linear-solver failure makes it
+    ``ABORTED`` at the state the failed step started from, naming that step
+    and its time in ``Trajectory.error``.
 
     ``on_record(t, state, row)``, if given, is called as each record is
     made, in order, and the caller takes the records: the returned
@@ -274,7 +286,7 @@ def evolve(
     record(0.0, initial)
     n_steps = math.ceil(config.t_final / config.tau - 1e-9)
     state, k = initial, 0
-    while state.length >= EXTINCTION_LENGTH and k < n_steps:
+    while not _extinct(state) and k < n_steps:
         try:
             state = step(state, config)
         except (DegenerateSegmentError, LinearSolverError) as exc:
@@ -286,7 +298,7 @@ def evolve(
             record(k * config.tau, state)
     if trajectory.final_state is not state:  # the last state is always on record
         record(k * config.tau, state)
-    if state.length < EXTINCTION_LENGTH:
+    if _extinct(state):
         trajectory.status = TrajectoryStatus.EXTINCT
         trajectory.extinction_time = trajectory.final_time
     return trajectory

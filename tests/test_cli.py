@@ -492,6 +492,14 @@ class TestStudySubcommands:
         assert "extinction-time error" in out
         assert "radius drift" in out
 
+    def test_oracle_at_the_default_step_of_the_studies_exits_0(self, run_dir, capsys):
+        # at tau = 1e-4 the 200-gon collapses to segments below 1e-12 while its
+        # length is still above the extinction length; that is extinction
+        assert run_cli(["oracle", "--tau", "1e-4"]) == 0
+        captured = capsys.readouterr()
+        assert "extinction time: measured=0.501 analytic=0.5" in captured.out
+        assert captured.err == ""
+
     def test_oracle_without_extinction_exits_2(self, run_dir, capsys):
         # at tau = 0.3 the 200-gon completes [0, 1] without shrinking to a
         # point; the run has no error to report, so none is printed

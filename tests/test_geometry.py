@@ -371,6 +371,8 @@ def test_real_parameters_reject_a_bool_or_a_string(name, value):
     assert str(raised.value).split()[0].strip("|") == name
 
 
+@pytest.mark.filterwarnings("error")  # a narrow float must not overflow a cast
 @pytest.mark.parametrize("name", list(REAL_PARAMETERS))
 def test_real_parameters_accept_a_numpy_float(name):
-    REAL_PARAMETERS[name](np.float64(0.5))
+    for dtype in (np.float64, np.float32, np.float16):
+        REAL_PARAMETERS[name](dtype(0.5))

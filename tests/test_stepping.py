@@ -422,10 +422,9 @@ class TestEvolve:
         assert trajectory.error.startswith("step 1 (t=0.0001): ")
         assert len(trajectory.snapshots) == 1
 
-    def test_mid_run_abort_records_last_valid_state(self):
-        # the shrink-to-point endgame at tau=1e-4 lands inside the window
-        # where a segment is below 1e-12 while the total length is
-        # still above the extinction threshold
+    def test_mid_run_abort_records_last_valid_state(self, monkeypatch):
+        # a step fails in the shrink-to-point endgame, after the record at step 5000
+        monkeypatch.setattr(stepping, "step", failing_at_step(5005))
         config = SolverConfig(
             model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4, snapshot_every=5000
         )
@@ -436,6 +435,33 @@ class TestEvolve:
         assert np.isfinite(last.nodes).all()
         gaps = np.linalg.norm(last.nodes - np.roll(last.nodes, 1, axis=0), axis=1)
         assert gaps.min() > 0
+
+    def test_collapsed_polygon_is_extinct(self):
+        # at tau=1e-4 the unit 200-gon reaches a state of length ~2e-10, above
+        # the extinction length, whose segments are all below the step threshold
+        config = SolverConfig(
+            model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4, snapshot_every=5000
+        )
+        trajectory = evolve(build_circle(1.0, 200), config)
+        assert trajectory.status is TrajectoryStatus.EXTINCT
+        assert trajectory.error is None
+        assert trajectory.extinction_time == trajectory.final_time == pytest.approx(0.501)
+        last = trajectory.final_state
+        assert last.length >= stepping.EXTINCTION_LENGTH
+        assert segment_lengths(last).max() < geometry.EPSILON_GEOM
+
+    def test_a_segment_above_the_threshold_keeps_the_curve_alive(self):
+        # a 200-node ellipse shorter than 200e-12, some of its segments above
+        # 1e-12 and some below: not extinct, so its first step aborts
+        angle = 2 * np.pi * np.arange(200) / 200
+        curve = CurveState(np.stack([3.5e-11 * np.cos(angle), 2e-11 * np.sin(angle)], axis=1))
+        assert curve.length < 200 * geometry.EPSILON_GEOM
+        assert segment_lengths(curve).max() >= geometry.EPSILON_GEOM
+        assert segment_lengths(curve).min() < geometry.EPSILON_GEOM
+        config = SolverConfig(model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
+        trajectory = evolve(curve, config)
+        assert trajectory.status is TrajectoryStatus.ABORTED
+        assert trajectory.error.startswith("step 1 (t=0.0001): segment length")
 
     def test_extinct_final_state_is_counterclockwise(self):
         # the last state of the shrinking 4-fold star spans ~4e-24 about a
