@@ -77,17 +77,19 @@ class CurveState:
         if not np.isfinite(rows).all():
             raise ValueError("nodes contain non-finite values")
         prev = np.roll(rows, 1, axis=1)
-        edge = rows - prev
+        edge = np.empty((2, rows.shape[1] + 1))  # X_i - X_{i-1}; index M repeats 0
+        np.subtract(rows, prev, out=edge[:, :-1])
+        edge[:, -1] = edge[:, 0]
         gaps = np.hypot(edge[0], edge[1])
         if not gaps.all():
             raise ValueError("consecutive nodes must be distinct")
         # shoelace sum_i (X_{i-1} - X_0) x (X_i - X_{i-1}) / 2; taken about X_0,
         # a tiny curve away from the origin keeps the sign of its area
         prev -= rows[:, :1]
-        area = 0.5 * float(np.dot(prev[0], edge[1]) - np.dot(prev[1], edge[0]))
+        area = 0.5 * float(np.dot(prev[0], edge[1, :-1]) - np.dot(prev[1], edge[0, :-1]))
         if area == 0.0:
             raise ValueError("curve has zero signed area; orientation undefined")
-        length = float(gaps.sum())
+        length = float(gaps[:-1].sum())
         if not np.isfinite([length, area]).all():
             raise ValueError("curve length and area must be finite")
         fields = dict(nodes=rows.T, length=length, area=area,
@@ -183,21 +185,24 @@ class _NodeGeometry(NamedTuple):
 
 def _node_geometry(edge: FloatArray, lengths: FloatArray) -> _NodeGeometry:
     """Every per-node quantity of the scheme, each computed once, from the
-    (2, M) edges X_i - X_{i-1} and their lengths.
+    (2, M+1) edges X_i - X_{i-1} and their (M+1) lengths, index M repeating 0.
 
     The chord X_{i+1} - X_{i-1} is the sum of the edges entering and leaving
     node i.
     """
-    edge = np.concatenate((edge, edge[:, :1]), axis=1)  # index M repeats 0
-    lengths = np.concatenate((lengths, lengths[:1]))
     tangent = edge / lengths
     span = lengths[:-1] + lengths[1:]
-    curvature_vec = 2.0 * (tangent[:, 1:] - tangent[:, :-1]) / span
-    chord = edge[:, :-1] + edge[:, 1:]
-    normal = chord[::-1] / span  # (chord_y, -chord_x) / span
+    curvature_vec = tangent[:, 1:] - tangent[:, :-1]
+    curvature_vec *= 2.0
+    curvature_vec /= span
+    normal = np.empty_like(curvature_vec)  # (chord_y, -chord_x) / span
+    np.add(edge[1, :-1], edge[1, 1:], out=normal[0])
+    np.add(edge[0, :-1], edge[0, 1:], out=normal[1])
+    normal /= span
     normal[1] *= -1.0
-    product = curvature_vec * normal
-    kappa = -(product[0] + product[1])
+    kappa = curvature_vec[0] * normal[0]
+    kappa += curvature_vec[1] * normal[1]
+    kappa *= -1.0
     return _NodeGeometry(
         lengths[:-1], lengths[1:], span, tangent[:, :-1], curvature_vec, normal, kappa
     )

@@ -117,7 +117,7 @@ _DOMINANCE_TOL = 8.0 * np.finfo(np.float64).eps  # relative to the row sums
 
 
 def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
-    """Solve a strictly diagonally dominant cyclic tridiagonal system.
+    """Solve a cyclic tridiagonal system, diagonally dominant up to roundoff.
 
     Row i couples x_{i-1} by ``lower[i]``, x_i by ``diag[i]`` and x_{i+1} by
     ``upper[i]``, indices wrapping, so ``lower[0]`` and ``upper[-1]`` are the
@@ -128,7 +128,7 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
     With A = T + u v^T, u = gamma*e_0 + upper[-1]*e_{M-1} and
     v = e_0 + (lower[0]/gamma)*e_{M-1}, one banded solve of T gives T^{-1} b
     and T^{-1} u together.  Raises LinearSolverError on a dominance
-    violation, a singular rank-one correction or non-finite values.
+    violation, a singular T or rank-one correction, or non-finite values.
     """
     lower, diag, upper = (np.asarray(a, dtype=np.float64) for a in (lower, diag, upper))
     if diag.ndim != 1 or diag.shape[0] < 4:
@@ -157,8 +157,11 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
     work = np.zeros((rhs.size // m + 1, m))
     work[:-1] = rhs
     work[-1, 0], work[-1, -1] = gamma, upper[-1]
-    y = solve_banded((1, 1), bands, work.T, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False).T
+    try:
+        y = solve_banded((1, 1), bands, work.T, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False).T
+    except np.linalg.LinAlgError as exc:  # gtsv met an exactly zero pivot
+        raise LinearSolverError("tridiagonal part is singular") from exc
     x, z = y[:-1], y[-1]
     ratio = float(lower[0] / gamma)
     denom = 1.0 + float(z[0]) + ratio * float(z[-1])
@@ -213,6 +216,7 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     force, alpha = _velocity(geo, curve.length, config.model)
     rhs = geo.normal * (config.tau * force) + curve.nodes.T
     solution = solve_cyclic_tridiagonal(*_bands(geo, alpha, config.tau), rhs)
+    del alpha, rhs  # neither is alive while the new state is validated
     try:
         advanced = CurveState(solution.T)
     except ValueError as exc:

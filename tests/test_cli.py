@@ -277,6 +277,14 @@ class TestRunCommand:
         )
         assert run_cli(["run", config]) == 0
 
+    def test_out_dir_resolves_relative_to_working_directory(self, run_dir):
+        # unlike polyline_path, which resolves against the config's directory
+        (run_dir / "sub").mkdir()
+        _write(run_dir / "sub" / "run.conf", self.CONFIG.format(out="out"))
+        assert run_cli(["run", "sub/run.conf"]) == 0
+        assert (run_dir / "out" / "summary.csv").is_file()
+        assert not (run_dir / "sub" / "out").exists()
+
     def test_missing_config_exits_1(self, run_dir, capsys):
         assert run_cli(["run", "missing.conf"]) == 1
         assert "cannot read config" in capsys.readouterr().err

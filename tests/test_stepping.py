@@ -2,6 +2,7 @@
 backward-Euler oracle assembled independently in the test."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,24 @@ class TestStep:
         counted_run = evolve(build_radial_curve(5, 0.65, 64), config)
         assert len(calls) == 20
         assert counted_run.final_state.nodes.tobytes() == plain.final_state.nodes.tobytes()
+
+    def test_working_set_per_node(self):
+        # validation builds the padded edges and lengths once and its geometry
+        # in place, and the step's right-hand side and alpha are gone by then
+        m = 5000
+        config = SolverConfig(FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
+        state = build_radial_curve(4, 0.4, m)
+        for _ in range(3):
+            state = step(state, config)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                state = step(state, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / m <= 270
 
 
 class TestGeometryHandOff:

@@ -104,6 +104,13 @@ def test_rejects_a_singular_rank_one_correction():
         solve_cyclic_tridiagonal(np.ones(m), diag, np.ones(m), np.ones(m))
 
 
+def test_rejects_a_singular_tridiagonal_part():
+    # rows 1 and 2 have a dominance margin of exactly 0, which the check lets
+    # through, and the tridiagonal part T = A - u v^T is then singular
+    with pytest.raises(LinearSolverError, match="tridiagonal part is singular"):
+        solve_cyclic_tridiagonal([1, 0, 1, 1], [3, 1, 1, 3], [1, 1, 0, 1], [1, 2, 3, 4])
+
+
 def test_rejects_bad_shapes():
     bands = np.zeros(8), np.ones(8), np.zeros(8)
     for lower, diag, upper, rhs in [
