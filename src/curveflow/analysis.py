@@ -15,6 +15,7 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import CurveFlowError
 from .flows import FlowLaw, FlowModel
 from .geometry import (
     CurveState,
@@ -25,7 +26,7 @@ from .geometry import (
     discrete_curvature,
     read_polyline,
 )
-from .stepping import SolverConfig, Trajectory, evolve
+from .stepping import SolverConfig, Trajectory, TrajectoryStatus, evolve
 
 
 def _scaled_g(x: float) -> float:
@@ -199,7 +200,8 @@ def convergence_study(
 
     Spatial: discrete curvature error max|kappa - 1| over node counts
     base_node_count * 2^k.  Temporal: extinction-time error of the
-    shrinking 200-gon (``circle_extinction``) over time steps base_tau / 2^k.
+    shrinking 200-gon (``circle_extinction``) over time steps base_tau / 2^k;
+    a level whose run completes without extinction raises CurveFlowError.
     Fitted log-log orders land in ``fitted_orders``; raw errors in
     ``error_tables``.
     """
@@ -224,6 +226,10 @@ def convergence_study(
         records.append(record)
         if error is not None:
             extinction_errors.append((tau, error))
+        elif record.trajectory.status is not TrajectoryStatus.ABORTED:
+            # a level that completes has no error to fit; an aborted one fails its study
+            raise CurveFlowError(f"the tau={tau:g} circle ended {record.status}, not extinct,"
+                                 f" at t={record.trajectory.final_time:g}")
 
     fitted = {
         "curvature_vs_node_count": -_fit_order(*zip(*curvature_errors)),

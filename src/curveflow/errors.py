@@ -6,7 +6,7 @@ class CurveFlowError(Exception):
 
 
 class DegenerateSegmentError(CurveFlowError):
-    """A polygon segment fell below the degeneracy threshold."""
+    """A step cannot resolve its state's segments, or produced an invalid curve."""
 
 
 class LinearSolverError(CurveFlowError):

@@ -30,9 +30,6 @@ from numpy.typing import NDArray
 
 FloatArray = NDArray[np.float64]
 
-#: Hard lower bound on segment lengths; the flow equations divide by d_i.
-EPSILON_GEOM = 1e-12
-
 
 def _is_count(value, least: int) -> bool:
     """An integer, not a bool, of at least ``least``."""
@@ -214,11 +211,7 @@ def _state_geometry(curve: CurveState) -> _NodeGeometry:
 
 
 def segment_lengths(curve: CurveState) -> FloatArray:
-    """Segment lengths d[k] = |X_k - X_{k-1}| with cyclic wraparound.
-
-    Defined for every valid curve, however short its segments, like
-    ``discrete_curvature``.
-    """
+    """Segment lengths d[k] = |X_k - X_{k-1}| with cyclic wraparound."""
     return _state_geometry(curve).d.copy()
 
 
@@ -231,7 +224,6 @@ def discrete_curvature(curve: CurveState) -> FloatArray:
     i.e. minus the discrete curvature vector dotted with the discrete
     normal, with (x, y)^perp = (y, -x).  Counterclockwise convex curves get
     positive values; a CCW regular M-gon of radius R gets exactly
-    cos(pi/M)/R at every node.  Defined for every valid curve, however short
-    its segments; the stepper applies its own degeneracy threshold.
+    cos(pi/M)/R at every node.
     """
     return _state_geometry(curve).kappa.copy()

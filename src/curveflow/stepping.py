@@ -40,14 +40,10 @@ from scipy.linalg import solve_banded
 
 from .errors import DegenerateSegmentError, LinearSolverError
 from .flows import FlowModel, forcing_value
-from .geometry import EPSILON_GEOM, CurveState, _NodeGeometry, _is_count, _is_real, _state_geometry
+from .geometry import CurveState, _NodeGeometry, _is_count, _is_real, _state_geometry
 from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchmarks/tracer.py)
 
 FloatArray = NDArray[np.float64]
-
-#: A run is flagged extinct when the total length falls below this, 100
-#: times the degeneracy threshold, or when every segment falls below that.
-EXTINCTION_LENGTH = 100.0 * EPSILON_GEOM
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ class Trajectory:
         return [t for t, _ in self.snapshots]
 
 
-_DOMINANCE_TOL = 8.0 * np.finfo(np.float64).eps  # relative to the row sums
+_EPS = np.finfo(np.float64).eps
 
 
 def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
@@ -144,7 +140,7 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
     # with |a| ~ 1e16 compute a margin of exactly 0 even though the exact
     # matrix is strictly dominant.
     abs_diag, off_sum = np.abs(diag), np.abs(lower) + np.abs(upper)
-    if not (abs_diag - off_sum > -_DOMINANCE_TOL * (abs_diag + off_sum)).all():
+    if not (abs_diag - off_sum > -8.0 * _EPS * (abs_diag + off_sum)).all():
         raise LinearSolverError("matrix is not strictly diagonally dominant")
     bands = np.empty((3, m))  # solve_banded layout
     bands[0, 1:] = upper[:-1]
@@ -164,8 +160,9 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
         raise LinearSolverError("tridiagonal part is singular") from exc
     x, z = y[:-1], y[-1]
     ratio = float(lower[0] / gamma)
-    denom = 1.0 + float(z[0]) + ratio * float(z[-1])
-    if not math.isfinite(denom) or abs(denom) < 1e-300:
+    head, tail = float(z[0]), ratio * float(z[-1])
+    denom = 1.0 + head + tail
+    if not abs(denom) > 8.0 * _EPS * (1.0 + abs(head) + abs(tail)):  # roundoff, or NaN
         raise LinearSolverError("rank-one correction is singular")
     for row in x:  # Sherman-Morrison in place: x = y - (v.y / (1 + v.z)) z
         row -= (float(row[0]) + ratio * float(row[-1])) / denom * z
@@ -204,19 +201,21 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     """Advance the curve by one semi-implicit backward-Euler step.
 
     Takes the per-node geometry the input's validation computed, or
-    recomputes it if a step has taken it; raises DegenerateSegmentError
-    when a segment is below EPSILON_GEOM (1e-12) and LinearSolverError when
-    the implicit solve fails.  A step that raises leaves its input as it was.
+    recomputes it if a step has taken it; raises DegenerateSegmentError, naming
+    the node, when eps*w >= 1 for the scale-free w = w_prev + w_next of ``_bands``,
+    as the step cannot resolve that state, and LinearSolverError when the
+    implicit solve fails.  A step that raises leaves its input as it was.
     """
     geo = _state_geometry(curve)
-    if (shortest := geo.d.min()) < EPSILON_GEOM:
-        raise DegenerateSegmentError(
-            f"segment length {shortest:.3e} below threshold {EPSILON_GEOM:.3e}"
-        )
     force, alpha = _velocity(geo, curve.length, config.model)
     rhs = geo.normal * (config.tau * force) + curve.nodes.T
-    solution = solve_cyclic_tridiagonal(*_bands(geo, alpha, config.tau), rhs)
-    del alpha, rhs  # neither is alive while the new state is validated
+    lower, diag, upper = _bands(geo, alpha, config.tau)
+    node = int(diag.argmax())
+    if (unresolved := _EPS * (diag[node] - 1.0)) >= 1.0:
+        raise DegenerateSegmentError(
+            f"segments at node {node} too short to resolve: eps*w = {unresolved:.3e}")
+    solution = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+    del alpha, rhs, lower, diag, upper  # none is alive while the new state is validated
     try:
         advanced = CurveState(solution.T)
     except ValueError as exc:
@@ -242,15 +241,6 @@ def _diagnostics_row(t: float, curve: CurveState, model: FlowModel) -> Diagnosti
     )
 
 
-def _extinct(state: CurveState) -> bool:
-    """Shorter than EXTINCTION_LENGTH, or with every segment below EPSILON_GEOM;
-    the length is tested first, so an ordinary state's geometry is not read."""
-    return state.length < EXTINCTION_LENGTH or (
-        state.length < state.node_count * EPSILON_GEOM
-        and _state_geometry(state).d.max() < EPSILON_GEOM
-    )
-
-
 def evolve(
     initial: CurveState,
     config: SolverConfig,
@@ -258,17 +248,16 @@ def evolve(
 ) -> Trajectory:
     """Run the time loop from t=0 until t >= t_final (overshooting if needed).
 
-    It steps while the state is not extinct, and stops early only when a
-    step fails.  A state is extinct when its total length is below
-    EXTINCTION_LENGTH (100*EPSILON_GEOM), or when every one of its segments
-    is below EPSILON_GEOM (1e-12), the threshold ``step`` rejects, so a
-    collapse of more than 100 nodes does not abort.  Snapshots and
-    diagnostics are recorded at t=0, every ``config.snapshot_every`` steps,
-    and for the last state however the run ended.  An extinct last state
-    makes the run ``EXTINCT`` at its time (0.0 for an initial curve already
-    extinct); a degenerate-segment or linear-solver failure makes it
+    It stops early only when a step raises.  A DegenerateSegmentError on a
+    state whose area could vanish within one step at the continuum rate,
+    |A| < tau*(2*pi - F*L), makes the run ``EXTINCT`` at that state's time
+    (0.0 for an initial curve the first step refuses).  Under curve
+    shortening that bound is 2*pi*tau; under the conserved law F*L is 2*pi
+    up to roundoff, and so is the bound.  Any other failure makes the run
     ``ABORTED`` at the state the failed step started from, naming that step
-    and its time in ``Trajectory.error``.
+    and its time in ``Trajectory.error``.  Snapshots and diagnostics are
+    recorded at t=0, every ``config.snapshot_every`` steps, and for the
+    last state however the run ended.
 
     ``on_record(t, state, row)``, if given, is called as each record is
     made, in order, and the caller takes the records: the returned
@@ -289,20 +278,24 @@ def evolve(
 
     record(0.0, initial)
     n_steps = math.ceil(config.t_final / config.tau - 1e-9)
-    state, k = initial, 0
-    while not _extinct(state) and k < n_steps:
+    state, k, failure = initial, 0, None
+    while k < n_steps:
         try:
             state = step(state, config)
         except (DegenerateSegmentError, LinearSolverError) as exc:
-            trajectory.status = TrajectoryStatus.ABORTED
-            trajectory.error = f"step {k + 1} (t={(k + 1) * config.tau!r}): {exc}"
+            failure = exc
             break
         k += 1
         if k % config.snapshot_every == 0:
             record(k * config.tau, state)
     if trajectory.final_state is not state:  # the last state is always on record
         record(k * config.tau, state)
-    if _extinct(state):
+    last = diagnostics[-1]
+    vanishing = abs(last.area) < config.tau * (2.0 * math.pi - last.forcing * last.length)
+    if isinstance(failure, DegenerateSegmentError) and vanishing:
         trajectory.status = TrajectoryStatus.EXTINCT
-        trajectory.extinction_time = trajectory.final_time
+        trajectory.extinction_time = last.t
+    elif failure is not None:
+        trajectory.status = TrajectoryStatus.ABORTED
+        trajectory.error = f"step {k + 1} (t={(k + 1) * config.tau!r}): {failure}"
     return trajectory

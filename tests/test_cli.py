@@ -345,15 +345,18 @@ class TestRunCommand:
         assert list((run_dir / "out-s").glob("snapshot_*.dat")) == []
 
     def test_solver_abort_exits_2(self, run_dir, capsys):
-        # two nearly-coincident points: the first step hits the degeneracy guard
-        (run_dir / "pinched.txt").write_text("0 0\n5e-13 0\n1 0\n1 1\n0 1\n")
+        # two points 1e-20 apart on a unit square: eps*w ~ 4, too fine for the
+        # first step to resolve, on a curve far too large to be extinct
+        (run_dir / "pinched.txt").write_text("0 0\n1e-20 0\n1 0\n1 1\n0 1\n")
         config = _write(
             run_dir / "p.conf",
             "curve = polyline\npolyline_path = pinched.txt\nmodel = csf\n"
             "tau = 1e-4\nt_final = 0.01\nout_dir = out-p\n",
         )
         assert run_cli(["run", config]) == 2
-        assert "aborted" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver aborted: step 1 (t=0.0001): ")
+        assert "segment" in err
         out = run_dir / "out-p"
         assert sorted(p.name for p in out.iterdir()) == ["snapshot_000000.dat", "summary.csv"]
         summary = (out / "summary.csv").read_text().splitlines()
@@ -501,8 +504,8 @@ class TestStudySubcommands:
         assert "radius drift" in out
 
     def test_oracle_at_the_default_step_of_the_studies_exits_0(self, run_dir, capsys):
-        # at tau = 1e-4 the 200-gon collapses to segments below 1e-12 while its
-        # length is still above the extinction length; that is extinction
+        # at tau = 1e-4 the 200-gon collapses to a state its next step cannot
+        # resolve, with an area below 2 pi tau; that is extinction
         assert run_cli(["oracle", "--tau", "1e-4"]) == 0
         captured = capsys.readouterr()
         assert "extinction time: measured=0.501 analytic=0.5" in captured.out
@@ -557,6 +560,13 @@ class TestStudySubcommands:
         assert "curvature_vs_node_count" in out
         assert (run_dir / "cv-out" / "curvature_error_vs_nodes.csv").exists()
         assert (run_dir / "cv-out" / "extinction_time_error_vs_tau.csv").exists()
+
+    def test_convergence_level_without_extinction_exits_2(self, run_dir, capsys):
+        # at tau = 0.3 the 200-gon completes [0, 1] without going extinct, so
+        # the temporal fit has no error at that level
+        assert run_cli(["convergence", "--base-tau", "0.3", "--out-dir", "cv-out"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the tau=0.3 circle ended completed, not extinct, at t=1.2\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -226,7 +226,7 @@ class TestSegmentLengths:
         assert abs(total - oracle) / oracle <= 1e-3
 
     def test_short_segment_returned_exactly(self):
-        # below the stepper's 1e-12 threshold, which only ``step`` applies
+        # a segment 1e-13 of the curve's size is measured like any other
         nodes = np.array([(0.0, 0.0), (1e-13, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         assert segment_lengths(CurveState(nodes))[1] == 1e-13
 

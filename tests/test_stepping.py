@@ -27,6 +27,22 @@ from curveflow import (
 from support import check_bitwise_equivalence, regular_polygon_radii
 
 
+#: the unit square with a node 1e-20 from a corner: eps*w ~ 4.4 at node 0, so
+#: the step cannot resolve it, and its area 1 is far from extinct
+PINCHED = np.array([(0.0, 0.0), (1e-20, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+
+
+def no_solve(*args):
+    raise AssertionError("the step reached its solve")
+
+
+def unresolved(curve, tau):
+    """eps times the largest off-identity diagonal w_i = 2 tau/s_i (1/d_i + 1/d_{i+1})."""
+    d = segment_lengths(curve)
+    d_next = np.roll(d, -1)
+    return np.finfo(np.float64).eps * np.max(2.0 * tau / (d + d_next) * (1.0 / d + 1.0 / d_next))
+
+
 def failing_at_step(k):
     """``step`` that raises DegenerateSegmentError on its k-th call."""
     calls = itertools.count(1)
@@ -235,13 +251,23 @@ class TestStep:
         assert len(trajectory.snapshots) == 1
         assert trajectory.snapshots[0][1] is curve
 
-    def test_degenerate_segment_aborts(self):
-        # the unit square with a node 5e-13 from a corner, below the 1e-12 threshold
-        square = CurveState(
-            np.array([(0.0, 0.0), (5e-13, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        )
+    def test_degenerate_segment_aborts(self, monkeypatch):
+        # the step refuses before its solve and names the node
+        monkeypatch.setattr(stepping, "solve_cyclic_tridiagonal", no_solve)
         config = SolverConfig(model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
-        with pytest.raises(DegenerateSegmentError):
+        assert unresolved(CurveState(PINCHED), config.tau) == pytest.approx(4.441, rel=1e-3)
+        with pytest.raises(DegenerateSegmentError, match=r"^segments at node 0 .* = 4\.441e\+00$"):
+            step(CurveState(PINCHED), config)
+
+    def test_a_pinch_just_inside_the_rule_meets_the_solver_backstop(self):
+        # a 1e-19 gap has eps*w ~ 0.44: the step solves, and the rank-one
+        # correction's relative test finds the denominator at roundoff
+        nodes = PINCHED.copy()
+        nodes[1, 0] = 1e-19
+        square = CurveState(nodes)
+        config = SolverConfig(model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
+        assert unresolved(square, config.tau) == pytest.approx(0.4441, rel=1e-3)
+        with pytest.raises(LinearSolverError, match="rank-one correction is singular"):
             step(square, config)
 
 
@@ -404,12 +430,10 @@ class TestEvolve:
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["plain", "streamed"])
     def test_extinct_initial_curve_takes_no_step(self, streamed, monkeypatch):
-        def no_step(curve, config):
-            raise AssertionError("an extinct curve was stepped")
-
-        monkeypatch.setattr(stepping, "step", no_step)
+        # the first step refuses the speck before its solve, and its area
+        # 1e-24 is far below 2 pi tau
+        monkeypatch.setattr(stepping, "solve_cyclic_tridiagonal", no_solve)
         speck = CurveState(1e-12 * np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
-        assert speck.length < stepping.EXTINCTION_LENGTH
         seen = []
         on_record = (lambda *record: seen.append(record)) if streamed else None
         config = SolverConfig(FlowModel.curve_shortening(), t_final=1e-3, tau=1e-4)
@@ -418,22 +442,28 @@ class TestEvolve:
         assert trajectory.extinction_time == trajectory.final_time == 0.0
         assert len(trajectory.snapshots) == len(trajectory.diagnostics) == 1
         assert trajectory.final_state is speck
+        assert trajectory.error is None
         assert len(seen) == (1 if streamed else 0)
 
     def test_extinction_at_the_final_step_is_extinct(self):
-        # t_final is the step at which the plain run goes extinct
+        # extinction is the step that cannot be taken: a run whose t_final
+        # includes that step is extinct, one that ends just before it completed
         curve, csf = build_circle(0.1, 64), FlowModel.curve_shortening()
-        t_extinct = evolve(curve, SolverConfig(csf, t_final=0.02, tau=1e-5)).extinction_time
-        trajectory = evolve(curve, SolverConfig(csf, t_final=t_extinct, tau=1e-5))
+        plain = evolve(curve, SolverConfig(csf, t_final=0.02, tau=1e-5))
+        t_extinct = plain.extinction_time
+        trajectory = evolve(curve, SolverConfig(csf, t_final=t_extinct + 1e-5, tau=1e-5))
         assert trajectory.status is TrajectoryStatus.EXTINCT
         assert trajectory.extinction_time == trajectory.final_time == t_extinct
+        completed = evolve(curve, SolverConfig(csf, t_final=t_extinct, tau=1e-5))
+        assert completed.status is TrajectoryStatus.COMPLETED
+        assert completed.extinction_time is None
+        assert completed.final_time == t_extinct
+        assert completed.final_state.nodes.tobytes() == plain.final_state.nodes.tobytes()
 
     def test_immediate_abort_keeps_initial_snapshot(self):
-        # one segment below the 1e-12 threshold, total length far above the
-        # extinction threshold: the first step must abort
-        pinched = CurveState(
-            np.array([(0.0, 0.0), (5e-13, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        )
+        # one segment the step cannot resolve on a curve of area 1, far
+        # above 2 pi tau: the first step must abort
+        pinched = CurveState(PINCHED)
         config = SolverConfig(model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
         trajectory = evolve(pinched, config)
         assert trajectory.status is TrajectoryStatus.ABORTED
@@ -456,8 +486,8 @@ class TestEvolve:
         assert gaps.min() > 0
 
     def test_collapsed_polygon_is_extinct(self):
-        # at tau=1e-4 the unit 200-gon reaches a state of length ~2e-10, above
-        # the extinction length, whose segments are all below the step threshold
+        # at tau=1e-4 the unit 200-gon reaches a state its next step cannot
+        # resolve, with an area that could vanish within that step
         config = SolverConfig(
             model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4, snapshot_every=5000
         )
@@ -466,30 +496,36 @@ class TestEvolve:
         assert trajectory.error is None
         assert trajectory.extinction_time == trajectory.final_time == pytest.approx(0.501)
         last = trajectory.final_state
-        assert last.length >= stepping.EXTINCTION_LENGTH
-        assert segment_lengths(last).max() < geometry.EPSILON_GEOM
+        assert unresolved(last, config.tau) >= 1.0
+        assert abs(last.area) < 2.0 * np.pi * config.tau
+        with pytest.raises(DegenerateSegmentError, match="too short to resolve"):
+            step(last, config)
+        # every earlier record was resolved and took its step
+        _, before = trajectory.snapshots[-2]
+        assert unresolved(before, config.tau) < 1.0
 
-    def test_a_segment_above_the_threshold_keeps_the_curve_alive(self):
-        # a 200-node ellipse shorter than 200e-12, some of its segments above
-        # 1e-12 and some below: not extinct, so its first step aborts
+    def test_an_unresolved_tiny_ellipse_is_extinct_at_once(self):
+        # a 200-node ellipse of semi-axes 3.5e-11 and 2e-11: its area ~2e-21
+        # is far below 2 pi tau, so the step it cannot take makes it extinct
         angle = 2 * np.pi * np.arange(200) / 200
         curve = CurveState(np.stack([3.5e-11 * np.cos(angle), 2e-11 * np.sin(angle)], axis=1))
-        assert curve.length < 200 * geometry.EPSILON_GEOM
-        assert segment_lengths(curve).max() >= geometry.EPSILON_GEOM
-        assert segment_lengths(curve).min() < geometry.EPSILON_GEOM
         config = SolverConfig(model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
+        assert unresolved(curve, config.tau) >= 1.0
         trajectory = evolve(curve, config)
-        assert trajectory.status is TrajectoryStatus.ABORTED
-        assert trajectory.error.startswith("step 1 (t=0.0001): segment length")
+        assert trajectory.status is TrajectoryStatus.EXTINCT
+        assert trajectory.error is None
+        assert trajectory.extinction_time == trajectory.final_time == 0.0
+        assert len(trajectory.snapshots) == 1
+        assert trajectory.final_state is curve
 
     def test_extinct_final_state_is_counterclockwise(self):
-        # the last state of the shrinking 4-fold star spans ~4e-24 about a
-        # point ~2e-16 from the origin; its area and isoperimetric ratio are
-        # those of a small counterclockwise near-circle
+        # the last state of the shrinking 4-fold star spans ~1e-9 near the
+        # origin; its area and isoperimetric ratio are those of a small
+        # counterclockwise near-circle
         config = SolverConfig(model=FlowModel.curve_shortening(), t_final=0.6, tau=1e-4)
         trajectory = evolve(build_radial_curve(4, 0.4, 200), config)
         assert trajectory.status is TrajectoryStatus.EXTINCT
-        assert trajectory.extinction_time == pytest.approx(0.5411, abs=1e-9)
+        assert trajectory.extinction_time == pytest.approx(0.5410, abs=1e-9)
         assert trajectory.final_state.area > 0.0
         last = trajectory.diagnostics[-1]
         assert last.area > 0.0
@@ -536,7 +572,7 @@ class TestEvolve:
                 TrajectoryStatus.EXTINCT,
             ),
             "aborted": (
-                CurveState(np.array([(0.0, 0.0), (5e-13, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])),
+                CurveState(PINCHED),
                 SolverConfig(FlowModel.curve_shortening(), t_final=0.01, tau=1e-4),
                 TrajectoryStatus.ABORTED,
             ),
@@ -577,6 +613,38 @@ class TestEvolve:
 
     def test_csf_equals_zero_force_bitwise(self):
         check_bitwise_equivalence()
+
+    @pytest.mark.parametrize("p", [-60, -36, 20, 60])
+    @pytest.mark.parametrize(
+        "model", [FlowModel.curve_shortening(), FlowModel.area_preserving()],
+        ids=lambda m: m.law.value,
+    )
+    def test_scaled_star_follows_the_scaled_trajectory_bitwise(self, model, p):
+        # the scheme has no length scale: the curve scaled by 2^p, run with
+        # tau scaled by 2^(2p), gives every record scaled, bit for bit
+        star, scale = build_radial_curve(5, 0.65, 200), 2.0**p
+        config = SolverConfig(model, t_final=0.05, tau=1e-4)
+        scaled_config = SolverConfig(model, t_final=0.05 * scale**2, tau=1e-4 * scale**2)
+        plain = evolve(star, config)
+        scaled = evolve(CurveState(scale * star.nodes), scaled_config)
+        assert plain.status is scaled.status is TrajectoryStatus.COMPLETED
+        assert len(scaled.snapshots) == len(plain.snapshots) == 6
+        for (_, state), (_, scaled_state) in zip(plain.snapshots, scaled.snapshots):
+            assert (scale * state.nodes).tobytes() == scaled_state.nodes.tobytes()
+
+    def test_four_fold_collapse_ends_at_one_step_under_ulp_perturbations(self, reference_report):
+        # ulp-level perturbations of the 4-fold study's nodes all end extinct
+        # at step 5410; seed 7's step 5411, were it taken, would meet a
+        # Sherman-Morrison denominator of pure roundoff and abort
+        study = reference_report.records[0]
+        assert study.name == "shrinking-4fold"
+        assert study.trajectory.extinction_time == 5410 * study.config.tau
+        nodes = build_radial_curve(4, 0.4, 200).nodes
+        for seed in (0, 1, 7):
+            sign = np.random.default_rng(seed).choice([-1.0, 0.0, 1.0], nodes.shape)
+            trajectory = evolve(CurveState(nodes + sign * np.spacing(nodes)), study.config)
+            assert trajectory.status is TrajectoryStatus.EXTINCT, (seed, trajectory.error)
+            assert trajectory.extinction_time == study.trajectory.extinction_time
 
     def test_conserved_flow_drift_shrinks_with_tau(self):
         # the drift has an O(tau) part on top of a fixed spatial floor, so

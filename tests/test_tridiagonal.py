@@ -104,6 +104,13 @@ def test_rejects_a_singular_rank_one_correction():
         solve_cyclic_tridiagonal(np.ones(m), diag, np.ones(m), np.ones(m))
 
 
+def test_rejects_the_singular_periodic_laplacian():
+    # its constant null vector leaves the Sherman-Morrison denominator at
+    # 0.125 eps of its terms, roundoff of an exact 0; dividing by it gives ~4e16
+    with pytest.raises(LinearSolverError, match="rank-one correction is singular"):
+        solve_cyclic_tridiagonal([-1] * 4, [2] * 4, [-1] * 4, [1, 2, 3, 4])
+
+
 def test_rejects_a_singular_tridiagonal_part():
     # rows 1 and 2 have a dominance margin of exactly 0, which the check lets
     # through, and the tridiagonal part T = A - u v^T is then singular
