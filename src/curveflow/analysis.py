@@ -179,28 +179,14 @@ def _fit_order(x: list[float], err: list[float]) -> float:
     return float(slope)
 
 
-def circle_extinction(tau: float) -> tuple[StudyRecord, float, float | None]:
-    """The unit circle's regular 200-gon under curve shortening over [0, 1] at
-    time step ``tau``: its study record, the exact extinction time 1/2 from
-    ``CircleOracle`` and the measured time's error against it (None if the
-    run did not reach extinction)."""
-    csf = FlowModel.curve_shortening()
-    config = SolverConfig(csf, t_final=1.0, tau=tau, snapshot_every=2000)
-    record = _run_study(f"circle-extinction-tau-{tau:g}", build_circle(1.0, 200), config)
-    exact = CircleOracle(1.0, csf).extinction_time()
-    if record.extinction_time is None:
-        return record, exact, None
-    return record, exact, abs(record.extinction_time - exact)
-
-
 def convergence_study(
     base_node_count: int = 50, base_tau: float = 4e-5, levels: int = 3
 ) -> StudyReport:
     """Refinement sweeps on the unit circle.
 
     Spatial: discrete curvature error max|kappa - 1| over node counts
-    base_node_count * 2^k.  Temporal: extinction-time error of the
-    shrinking 200-gon (``circle_extinction``) over time steps base_tau / 2^k;
+    base_node_count * 2^k.  Temporal: extinction-time error of the shrinking
+    unit 200-gon against ``CircleOracle``'s 1/2 over time steps base_tau / 2^k;
     a level whose run completes without extinction raises CurveFlowError.
     Fitted log-log orders land in ``fitted_orders``; raw errors in
     ``error_tables``.
@@ -218,14 +204,17 @@ def convergence_study(
         kappa = discrete_curvature(build_circle(1.0, m))
         curvature_errors.append((float(m), float(np.max(np.abs(kappa - 1.0)))))
 
+    csf = FlowModel.curve_shortening()
+    exact = CircleOracle(1.0, csf).extinction_time()
     records = []
     extinction_errors = []
     for k in range(levels):
         tau = base_tau / 2**k
-        record, _, error = circle_extinction(tau)
+        config = SolverConfig(csf, t_final=1.0, tau=tau, snapshot_every=2000)
+        record = _run_study(f"circle-extinction-tau-{tau:g}", build_circle(1.0, 200), config)
         records.append(record)
-        if error is not None:
-            extinction_errors.append((tau, error))
+        if record.extinction_time is not None:
+            extinction_errors.append((tau, abs(record.extinction_time - exact)))
         elif record.trajectory.status is not TrajectoryStatus.ABORTED:
             # a level that completes has no error to fit; an aborted one fails its study
             raise CurveFlowError(f"the tau={tau:g} circle ended {record.status}, not extinct,"

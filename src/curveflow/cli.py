@@ -5,8 +5,6 @@ Subcommands:
 * ``run <config>``   execute one evolution described by a flat ``key = value``
                      config file, writing plain-text node snapshots plus
                      ``summary.csv`` into the configured output directory;
-* ``oracle``         validate the stepper against the shrinking-circle
-                     closed form (prints the extinction-time error);
 * ``examples``       run the bundled reference studies;
 * ``convergence``    run the spatial/temporal refinement study.
 
@@ -23,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import StudyReport, circle_extinction, convergence_study, run_reference_studies
+from .analysis import StudyReport, convergence_study, run_reference_studies
 from .errors import ConfigError, CurveFlowError
 from .flows import FlowLaw, FlowModel
 from .geometry import (
@@ -253,28 +251,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    record, analytic, error = circle_extinction(args.tau)
-    if error is None:  # an aborted run also says why
-        why = "" if record.trajectory.error is None else f": {record.trajectory.error}"
-        raise CurveFlowError(
-            f"shrinking circle did not reach extinction ({record.status} at"
-            f" t={_fmt(record.trajectory.final_time)}{why})"
-        )
-    circle = record.trajectory.snapshots[0][1]
-    print(f"shrinking unit circle, tau={_fmt(args.tau)}, nodes={circle.node_count}")
-    print(f"extinction time: measured={_fmt(record.extinction_time)} analytic={_fmt(analytic)}")
-    print(f"extinction-time error: {_fmt(error)}")
-
-    conserved = SolverConfig(FlowModel.area_preserving(), t_final=0.1, tau=1e-4, snapshot_every=200)
-    stationary = evolve(circle, conserved)
-    radii = np.linalg.norm(stationary.final_state.nodes, axis=1)
-    print(
-        f"conserved-flow circle over [0, 0.1]: max radius drift {_fmt(np.max(np.abs(radii - 1.0)))}"
-    )
-    return 0
-
-
 #: report.csv's columns in order, each with its formatter of a StudyRecord
 _REPORT_COLUMNS = {
     "name": lambda r: r.name,
@@ -348,10 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one configured evolution")
     p_run.add_argument("config", help="path to a 'key = value' config file")
     p_run.set_defaults(handler=_cmd_run)
-
-    p_oracle = sub.add_parser("oracle", help="circle validations against closed forms")
-    p_oracle.add_argument("--tau", type=float, default=1e-5, help="time step (default 1e-5)")
-    p_oracle.set_defaults(handler=_cmd_oracle)
 
     # a study flag left out stays out of the namespace, so the study's own
     # signature holds every default

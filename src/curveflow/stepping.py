@@ -39,7 +39,7 @@ from numpy.typing import NDArray
 from scipy.linalg import solve_banded
 
 from .errors import DegenerateSegmentError, LinearSolverError
-from .flows import FlowModel, forcing_value
+from .flows import FlowLaw, FlowModel, forcing_value
 from .geometry import CurveState, _NodeGeometry, _is_count, _is_real, _state_geometry
 from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchmarks/tracer.py)
 
@@ -252,8 +252,8 @@ def evolve(
     state whose area could vanish within one step at the continuum rate,
     |A| < tau*(2*pi - F*L), makes the run ``EXTINCT`` at that state's time
     (0.0 for an initial curve the first step refuses).  Under curve
-    shortening that bound is 2*pi*tau; under the conserved law F*L is 2*pi
-    up to roundoff, and so is the bound.  Any other failure makes the run
+    shortening that bound is 2*pi*tau.  The conserved law keeps the area, so
+    its runs never end extinct.  Any other failure makes the run
     ``ABORTED`` at the state the failed step started from, naming that step
     and its time in ``Trajectory.error``.  Snapshots and diagnostics are
     recorded at t=0, every ``config.snapshot_every`` steps, and for the
@@ -291,7 +291,8 @@ def evolve(
     if trajectory.final_state is not state:  # the last state is always on record
         record(k * config.tau, state)
     last = diagnostics[-1]
-    vanishing = abs(last.area) < config.tau * (2.0 * math.pi - last.forcing * last.length)
+    vanishing = (config.model.law is not FlowLaw.AREA_PRESERVING
+                 and abs(last.area) < config.tau * (2.0 * math.pi - last.forcing * last.length))
     if isinstance(failure, DegenerateSegmentError) and vanishing:
         trajectory.status = TrajectoryStatus.EXTINCT
         trajectory.extinction_time = last.t

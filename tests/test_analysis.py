@@ -167,6 +167,28 @@ class TestStepperAgainstConstantForceOracle:
             mean_radius = np.linalg.norm(nodes - nodes.mean(axis=0), axis=1).mean()
             assert mean_radius == pytest.approx(circle_radius(oracle, t), abs=1e-3)
 
+    @pytest.mark.parametrize("force", [0.5, -1.0])
+    def test_collapse_follows_the_closed_form_to_extinction(self, force):
+        # the regular 100-gon runs through its collapse: measured 9.5 and 8.9
+        # steps after extinction_time(), and within 7.2e-3 relative of
+        # circle_radius while that is >= 0.3
+        model = FlowModel.constant_force(force)
+        config = SolverConfig(model=model, t_final=1.0, tau=4e-4, snapshot_every=10)
+        trajectory = evolve(build_circle(1.0, 100), config)
+        oracle = CircleOracle(1.0, model)
+        assert trajectory.status is TrajectoryStatus.EXTINCT
+        assert abs(trajectory.extinction_time - oracle.extinction_time()) <= 12 * config.tau
+        checked = 0
+        for t, state in trajectory.snapshots:
+            radius = circle_radius(oracle, t)
+            if radius is None or radius < 0.3:
+                continue
+            nodes = state.nodes
+            mean_radius = np.linalg.norm(nodes - nodes.mean(axis=0), axis=1).mean()
+            assert mean_radius == pytest.approx(radius, rel=1e-2)
+            checked += 1
+        assert checked >= 50
+
 
 class TestNonconvexFixture:
     def test_shape(self):

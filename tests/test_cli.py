@@ -496,29 +496,6 @@ class TestRunCommand:
 
 
 class TestStudySubcommands:
-    def test_oracle(self, run_dir, capsys):
-        assert run_cli(["oracle", "--tau", "2e-4"]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0].endswith(", nodes=200")
-        assert "extinction-time error" in out
-        assert "radius drift" in out
-
-    def test_oracle_at_the_default_step_of_the_studies_exits_0(self, run_dir, capsys):
-        # at tau = 1e-4 the 200-gon collapses to a state its next step cannot
-        # resolve, with an area below 2 pi tau; that is extinction
-        assert run_cli(["oracle", "--tau", "1e-4"]) == 0
-        captured = capsys.readouterr()
-        assert "extinction time: measured=0.501 analytic=0.5" in captured.out
-        assert captured.err == ""
-
-    def test_oracle_without_extinction_exits_2(self, run_dir, capsys):
-        # at tau = 0.3 the 200-gon completes [0, 1] without shrinking to a
-        # point; the run has no error to report, so none is printed
-        assert run_cli(["oracle", "--tau", "0.3"]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: shrinking circle did not reach extinction (completed at t=1.2)\n"
-        assert "None" not in err
-
     def test_examples_fast(self, run_dir, capsys):
         assert run_cli(
             ["examples", "--nodes", "100", "--tau", "5e-4", "--out-dir", "ex-out"]
@@ -591,9 +568,9 @@ class TestStudySubcommands:
             (["examples", "--nodes", "3", "--out-dir", "bad-out"], "--nodes"),
             (["convergence", "--base-tau", "-1", "--out-dir", "bad-out"], "--base-tau"),
             (["convergence", "--levels", "2", "--out-dir", "bad-out"], "--levels"),
-            (["oracle", "--tau", "-1"], "--tau"),
+            (["examples", "--tau", "-1", "--out-dir", "bad-out"], "--tau"),
         ],
-        ids=["base-nodes", "nodes", "base-tau", "levels", "oracle-tau"],
+        ids=["base-nodes", "nodes", "base-tau", "levels", "tau"],
     )
     def test_invalid_flag_is_named(self, run_dir, capsys, argv, flag):
         # the library names its parameter; the error names the flag that set it

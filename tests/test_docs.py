@@ -1,5 +1,6 @@
 """The README's documented surface and example config match the package."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -53,3 +54,12 @@ def test_package_import_loads_no_ode_or_special_function_stack():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == ""
+
+
+def test_readme_commands_and_cli_docstring_list_every_subcommand():
+    parser = cli._build_parser()
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", README, re.DOTALL).group(1)
+    assert re.findall(r"^curveflow (\w+)", block, re.MULTILINE) == list(subcommands)
+    assert re.findall(r"^\* ``(\w+)", cli.__doc__, re.MULTILINE) == list(subcommands)

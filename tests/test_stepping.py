@@ -32,6 +32,12 @@ from support import check_bitwise_equivalence, regular_polygon_radii
 PINCHED = np.array([(0.0, 0.0), (1e-20, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 
+#: a 200-node ellipse of semi-axes 3.5e-11 and 2e-11, which no step at tau =
+#: 1e-4 can resolve
+TINY_ELLIPSE = np.stack([3.5e-11 * np.cos(2 * np.pi * np.arange(200) / 200),
+                         2e-11 * np.sin(2 * np.pi * np.arange(200) / 200)], axis=1)
+
+
 def no_solve(*args):
     raise AssertionError("the step reached its solve")
 
@@ -507,8 +513,7 @@ class TestEvolve:
     def test_an_unresolved_tiny_ellipse_is_extinct_at_once(self):
         # a 200-node ellipse of semi-axes 3.5e-11 and 2e-11: its area ~2e-21
         # is far below 2 pi tau, so the step it cannot take makes it extinct
-        angle = 2 * np.pi * np.arange(200) / 200
-        curve = CurveState(np.stack([3.5e-11 * np.cos(angle), 2e-11 * np.sin(angle)], axis=1))
+        curve = CurveState(TINY_ELLIPSE)
         config = SolverConfig(model=FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
         assert unresolved(curve, config.tau) >= 1.0
         trajectory = evolve(curve, config)
@@ -517,6 +522,17 @@ class TestEvolve:
         assert trajectory.extinction_time == trajectory.final_time == 0.0
         assert len(trajectory.snapshots) == 1
         assert trajectory.final_state is curve
+
+    def test_an_unresolved_tiny_ellipse_aborts_under_the_conserved_law(self):
+        # the conserved law keeps the area, so its runs never end extinct,
+        # whatever the sign of the discrete 2 pi - F*L
+        config = SolverConfig(model=FlowModel.area_preserving(), t_final=1.0, tau=1e-4)
+        trajectory = evolve(CurveState(TINY_ELLIPSE), config)
+        assert trajectory.status is TrajectoryStatus.ABORTED
+        assert trajectory.extinction_time is None
+        assert trajectory.final_time == 0.0
+        assert "step 1 (t=0.0001)" in trajectory.error
+        assert "node 100" in trajectory.error
 
     def test_extinct_final_state_is_counterclockwise(self):
         # the last state of the shrinking 4-fold star spans ~1e-9 near the
