@@ -3,8 +3,9 @@
 The circle is the workhorse benchmark: under curve shortening its radius
 follows r(t) = sqrt(r0^2 - 2t) (extinction at r0^2/2), under the
 area-preserving law it is stationary.  The study harnesses run the bundled
-reference evolutions and the refinement sweeps used to measure the
-solver's spatial and temporal convergence orders.
+reference evolutions and the temporal refinement study that measures the
+solver's order in tau.  Both share one end rule: a study of a shrinking
+law must go extinct, and one that completes raises CurveFlowError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .geometry import (
     _is_real,
     build_circle,
     build_radial_curve,
-    discrete_curvature,
     read_polyline,
 )
 from .stepping import SolverConfig, Trajectory, TrajectoryStatus, evolve
@@ -130,9 +130,14 @@ def nonconvex_fixture() -> CurveState:
 
 
 def _run_study(name: str, curve: CurveState, config: SolverConfig) -> StudyRecord:
+    """Run one study and record it, aborted or not.  Every bundled study of a
+    shrinking law is run past its extinction, so one that completes raises."""
     started = time.perf_counter()
     trajectory = evolve(curve, config)
     elapsed = time.perf_counter() - started
+    if (config.model.law is not FlowLaw.AREA_PRESERVING
+            and trajectory.status is TrajectoryStatus.COMPLETED):
+        raise CurveFlowError(f"{name} ended completed, not extinct, at t={trajectory.final_time:g}")
     rows = trajectory.diagnostics
     return StudyRecord(
         name=name,
@@ -155,8 +160,9 @@ def run_reference_studies(node_count: int = 200, tau: float = 1e-4) -> StudyRepo
     Three radial initial curves (a shrinking 4-fold star under curve
     shortening, run until its extinction; 5-fold and 10-fold stars under
     the conserved flow over [0, 0.5]) plus the nonconvex polyline fixture
-    under the conserved flow over [0, 1.25].  A failed run is recorded,
-    with its error in ``trajectory.error``, instead of aborting the report.
+    under the conserved flow over [0, 1.25].  An aborted run is recorded,
+    with its error in ``trajectory.error``; a shrinking study that ends
+    completed, not extinct, raises CurveFlowError (``_run_study``).
     """
     csf = FlowModel.curve_shortening()
     conserved = FlowModel.area_preserving()
@@ -179,30 +185,18 @@ def _fit_order(x: list[float], err: list[float]) -> float:
     return float(slope)
 
 
-def convergence_study(
-    base_node_count: int = 50, base_tau: float = 4e-5, levels: int = 3
-) -> StudyReport:
-    """Refinement sweeps on the unit circle.
-
-    Spatial: discrete curvature error max|kappa - 1| over node counts
-    base_node_count * 2^k.  Temporal: extinction-time error of the shrinking
-    unit 200-gon against ``CircleOracle``'s 1/2 over time steps base_tau / 2^k;
-    a level whose run completes without extinction raises CurveFlowError.
-    Fitted log-log orders land in ``fitted_orders``; raw errors in
-    ``error_tables``.
+def convergence_study(base_tau: float = 4e-5, levels: int = 3) -> StudyReport:
+    """Temporal refinement study: the regular unit 200-gon under curve
+    shortening at tau = base_tau / 2^k, k < levels, each level's error its
+    extinction time against ``CircleOracle``'s 1/2.  An aborted level is
+    recorded and left out of the fit; one that ends completed raises
+    CurveFlowError (``_run_study``).  The fitted log-log order lands in
+    ``fitted_orders``, the raw errors in ``error_tables``.
     """
-    if not _is_count(base_node_count, 4):
-        raise ValueError("base_node_count >= 4 and integral")
     if not (_is_real(base_tau) and 0 < base_tau < 0.5):
         raise ValueError("base_tau in (0, 0.5); at 0.5 the coarsest run is already at extinction")
     if not _is_count(levels, 3):
         raise ValueError("levels >= 3")
-
-    node_counts = [base_node_count * 2**k for k in range(levels)]
-    curvature_errors = []
-    for m in node_counts:
-        kappa = discrete_curvature(build_circle(1.0, m))
-        curvature_errors.append((float(m), float(np.max(np.abs(kappa - 1.0)))))
 
     csf = FlowModel.curve_shortening()
     exact = CircleOracle(1.0, csf).extinction_time()
@@ -215,21 +209,12 @@ def convergence_study(
         records.append(record)
         if record.extinction_time is not None:
             extinction_errors.append((tau, abs(record.extinction_time - exact)))
-        elif record.trajectory.status is not TrajectoryStatus.ABORTED:
-            # a level that completes has no error to fit; an aborted one fails its study
-            raise CurveFlowError(f"the tau={tau:g} circle ended {record.status}, not extinct,"
-                                 f" at t={record.trajectory.final_time:g}")
 
-    fitted = {
-        "curvature_vs_node_count": -_fit_order(*zip(*curvature_errors)),
-    }
+    fitted = {}
     if len(extinction_errors) >= 2:
         fitted["extinction_time_vs_tau"] = _fit_order(*zip(*extinction_errors))
     return StudyReport(
         records=records,
         fitted_orders=fitted,
-        error_tables={
-            "curvature_error_vs_nodes": curvature_errors,
-            "extinction_time_error_vs_tau": extinction_errors,
-        },
+        error_tables={"extinction_time_error_vs_tau": extinction_errors},
     )

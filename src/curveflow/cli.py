@@ -6,7 +6,7 @@ Subcommands:
                      config file, writing plain-text node snapshots plus
                      ``summary.csv`` into the configured output directory;
 * ``examples``       run the bundled reference studies;
-* ``convergence``    run the spatial/temporal refinement study.
+* ``convergence``    run the temporal refinement study.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 solver abort,
 unwritable output or unexpected failure.
@@ -59,7 +59,7 @@ _KEYS = {
 }
 
 #: parameters whose config key, and whose flag with '-' for '_', is another name
-_PARAMETER_KEYS = {"node_count": "nodes", "base_node_count": "base_nodes"}
+_PARAMETER_KEYS = {"node_count": "nodes"}
 
 #: one column per DiagnosticsRow field, in field order
 SUMMARY_HEADER = "t,length,area,F,isoperimetric_ratio,uniformity_ratio,min_segment"
@@ -334,9 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_examples.add_argument("--out-dir", default="examples-out")
     p_examples.set_defaults(handler=_cmd_study, study=run_reference_studies)
 
-    p_conv = sub.add_parser("convergence", help="spatial/temporal refinement study")
-    p_conv.add_argument("--base-nodes", dest="base_node_count", metavar="BASE_NODES", type=int,
-                        default=argparse.SUPPRESS)
+    p_conv = sub.add_parser("convergence", help="temporal refinement study")
     p_conv.add_argument("--base-tau", type=float, default=argparse.SUPPRESS)
     p_conv.add_argument("--levels", type=int, default=argparse.SUPPRESS)
     p_conv.add_argument("--out-dir", default="convergence-out")

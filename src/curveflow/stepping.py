@@ -246,7 +246,7 @@ def evolve(
     config: SolverConfig,
     on_record: Callable[[float, CurveState, DiagnosticsRow], None] | None = None,
 ) -> Trajectory:
-    """Run the time loop from t=0 until t >= t_final (overshooting if needed).
+    """Run ceil(t_final/tau) steps from t=0, so t ends >= t_final up to roundoff.
 
     It stops early only when a step raises.  A DegenerateSegmentError on a
     state whose area could vanish within one step at the continuum rate,
@@ -277,7 +277,7 @@ def evolve(
         diagnostics.append(row)
 
     record(0.0, initial)
-    n_steps = math.ceil(config.t_final / config.tau - 1e-9)
+    n_steps = math.ceil(config.t_final / config.tau * (1.0 - 4.0 * _EPS))
     state, k, failure = initial, 0, None
     while k < n_steps:
         try:

@@ -26,8 +26,8 @@ def reference_report():
 
 @pytest.fixture(scope="session")
 def convergence_report():
-    """Spatial sweep M in {50,100,200,400} plus temporal sweep tau in {4,2,1}e-5."""
-    return convergence_study(base_node_count=50, base_tau=4e-5, levels=3)
+    """Temporal sweep of the unit 200-gon's extinction, tau in {4,2,1}e-5."""
+    return convergence_study(base_tau=4e-5, levels=3)
 
 
 @pytest.fixture(scope="session")

@@ -255,13 +255,10 @@ class TestConvergenceStudy:
         assert len(convergence_report.records) == 3
         for record in convergence_report.records:
             assert record.status == TrajectoryStatus.EXTINCT.value
-        table = convergence_report.error_tables["curvature_error_vs_nodes"]
-        assert [int(m) for m, _ in table] == [50, 100, 200]
-        assert len(convergence_report.error_tables["extinction_time_error_vs_tau"]) == 3
-        assert set(convergence_report.fitted_orders) == {
-            "curvature_vs_node_count",
-            "extinction_time_vs_tau",
-        }
+        table = convergence_report.error_tables["extinction_time_error_vs_tau"]
+        assert [tau for tau, _ in table] == [4e-5, 2e-5, 1e-5]
+        assert set(convergence_report.error_tables) == {"extinction_time_error_vs_tau"}
+        assert set(convergence_report.fitted_orders) == {"extinction_time_vs_tau"}
 
     def test_tracks_circle_radius_oracle(self, convergence_report):
         # finest run: radius error against sqrt(1-2t) stays below 5e-3 to t=0.45

@@ -534,8 +534,7 @@ class TestStudySubcommands:
         monkeypatch.setattr(cli, "convergence_study", defaults_run)
         assert run_cli(["convergence", "--out-dir", "cv-out"]) == 0
         out = capsys.readouterr().out
-        assert "curvature_vs_node_count" in out
-        assert (run_dir / "cv-out" / "curvature_error_vs_nodes.csv").exists()
+        assert "fitted order extinction_time_vs_tau: " in out
         assert (run_dir / "cv-out" / "extinction_time_error_vs_tau.csv").exists()
 
     def test_convergence_level_without_extinction_exits_2(self, run_dir, capsys):
@@ -543,7 +542,23 @@ class TestStudySubcommands:
         # the temporal fit has no error at that level
         assert run_cli(["convergence", "--base-tau", "0.3", "--out-dir", "cv-out"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: the tau=0.3 circle ended completed, not extinct, at t=1.2\n"
+        assert err == "error: circle-extinction-tau-0.3 ended completed, not extinct, at t=1.2\n"
+        assert not (run_dir / "cv-out" / "report.csv").exists()
+
+    def test_shrinking_study_without_extinction_exits_2(self, run_dir, capsys):
+        # at tau = 0.3 the 40-node 4-fold star completes [0, 0.6] without going
+        # extinct, and the rule that ends convergence's levels ends it too
+        argv = ["examples", "--nodes", "40", "--tau", "0.3", "--out-dir", "ex-out"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: shrinking-4fold ended completed, not extinct, at t=0.6\n"
+        assert not (run_dir / "ex-out" / "report.csv").exists()
+
+    def test_removed_base_nodes_flag_exits_1(self, run_dir, capsys):
+        # convergence has no spatial sweep, so --base-nodes is an unknown flag
+        assert run_cli(["convergence", "--base-nodes", "8", "--out-dir", "bad-out"]) == 1
+        assert "unrecognized arguments: --base-nodes 8" in capsys.readouterr().err
+        assert not (run_dir / "bad-out").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -564,13 +579,12 @@ class TestStudySubcommands:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["convergence", "--base-nodes", "3", "--out-dir", "bad-out"], "--base-nodes"),
             (["examples", "--nodes", "3", "--out-dir", "bad-out"], "--nodes"),
             (["convergence", "--base-tau", "-1", "--out-dir", "bad-out"], "--base-tau"),
             (["convergence", "--levels", "2", "--out-dir", "bad-out"], "--levels"),
             (["examples", "--tau", "-1", "--out-dir", "bad-out"], "--tau"),
         ],
-        ids=["base-nodes", "nodes", "base-tau", "levels", "tau"],
+        ids=["nodes", "base-tau", "levels", "tau"],
     )
     def test_invalid_flag_is_named(self, run_dir, capsys, argv, flag):
         # the library names its parameter; the error names the flag that set it
@@ -617,7 +631,7 @@ class TestStudySubcommands:
     def test_unwritable_report_file_exits_2(self, run_dir, capsys, blocked, message):
         # a directory where the study writes a file
         (run_dir / "cv-out" / blocked).mkdir(parents=True)
-        argv = ["convergence", "--base-nodes", "8", "--base-tau", "0.01", "--levels", "3"]
+        argv = ["convergence", "--base-tau", "0.01", "--levels", "3"]
         assert run_cli(argv + ["--out-dir", "cv-out"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
@@ -637,9 +651,9 @@ class TestStudySubcommands:
             (["examples", "--tau", "5e-4"], "run_reference_studies", {"tau": 5e-4}),
             (["convergence"], "convergence_study", {}),
             (
-                ["convergence", "--base-nodes", "40", "--base-tau", "1e-4", "--levels", "4"],
+                ["convergence", "--base-tau", "1e-4", "--levels", "4"],
                 "convergence_study",
-                {"base_node_count": 40, "base_tau": 1e-4, "levels": 4},
+                {"base_tau": 1e-4, "levels": 4},
             ),
         ],
     )

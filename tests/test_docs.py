@@ -63,3 +63,9 @@ def test_readme_commands_and_cli_docstring_list_every_subcommand():
     block = re.search(r"## Command line\n\n```sh\n(.*?)```", README, re.DOTALL).group(1)
     assert re.findall(r"^curveflow (\w+)", block, re.MULTILINE) == list(subcommands)
     assert re.findall(r"^\* ``(\w+)", cli.__doc__, re.MULTILINE) == list(subcommands)
+
+
+def test_readme_convergence_paragraph_names_every_error_table(convergence_report):
+    paragraph = README.split("\n`convergence` is a temporal", 1)[1].split("\n\n", 1)[0]
+    named = re.findall(r"`(\w+)\.csv`", paragraph)
+    assert sorted(named) == sorted(convergence_report.error_tables)

@@ -418,11 +418,17 @@ class TestEvolve:
         assert len(trajectory.diagnostics) == len(trajectory.snapshots)
         assert all(b > a for a, b in zip(trajectory.times, trajectory.times[1:]))
 
-    def test_overshoots_to_reach_final_time(self):
+    @pytest.mark.parametrize(
+        "t_final, reached",
+        [(2.5e-4, 3e-4), (3e-4, 3e-4), (1e-14, 1e-4), (3.0000000001e-4, 4e-4)],
+        ids=["between", "on-a-multiple", "below-one-step", "just-past-a-multiple"],
+    )
+    def test_overshoots_to_reach_final_time(self, t_final, reached):
         curve = build_circle(1.0, 64)
-        config = SolverConfig(model=FlowModel.area_preserving(), t_final=2.5e-4, tau=1e-4)
+        config = SolverConfig(model=FlowModel.area_preserving(), t_final=t_final, tau=1e-4)
         trajectory = evolve(curve, config)
-        assert trajectory.final_time == pytest.approx(3e-4)
+        assert trajectory.final_time == pytest.approx(reached)
+        assert trajectory.final_time >= t_final
 
     def test_small_circle_extinction(self):
         # analytic extinction at r0^2/2 = 0.005
@@ -675,3 +681,30 @@ class TestEvolve:
             drifts[tau] = abs(rows[-1].area - rows[0].area) / rows[0].area
         assert drifts[2e-4] / drifts[4e-4] <= 0.75
         assert drifts[1e-4] < drifts[2e-4]
+
+    @pytest.mark.parametrize("law", ["conserved", "csf"])
+    def test_spacing_relaxes_at_the_tangential_rate(self, law):
+        # the tangential speed relaxes d_i toward L/M at the rate <kappa^2>,
+        # 1/R^2 on a circle: D(t) = max|d_i*M/L - 1| decays as e^(-t) on the
+        # stationary unit circle and as sqrt(1 - 2t) on the shrinking one
+        model = FlowModel.area_preserving() if law == "conserved" else FlowModel.curve_shortening()
+        errors = []
+        for m in (50, 100, 200):
+            u = 2 * np.pi * np.arange(m) / m
+            theta = u + 0.3 * np.sin(u)
+            curve = CurveState(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+            tau = 1e-4 * (200 / m) ** 2
+            config = SolverConfig(model, t_final=0.2, tau=tau, snapshot_every=round(0.01 / tau))
+            trajectory = evolve(curve, config)
+            t = np.array(trajectory.times)
+            spread = np.array([np.max(np.abs(segment_lengths(state) * m / state.length - 1.0))
+                               for _, state in trajectory.snapshots])
+            if law == "conserved":
+                late = t >= 0.05
+                rate = -np.polyfit(t[late], np.log(spread[late]), 1)[0]
+                errors.append(abs(rate - 1.0))
+            else:
+                errors.append(np.max(np.abs(spread / spread[0] / np.sqrt(1.0 - 2.0 * t) - 1.0)))
+        order = -np.polyfit(np.log([50, 100, 200]), np.log(errors), 1)[0]
+        assert order >= 1.9, errors
+        assert errors[-1] <= 2e-3
