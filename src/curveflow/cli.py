@@ -178,12 +178,12 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunSpec:
     return construct(RunSpec, config, initial, names=("out_dir",))
 
 
-def write_snapshot(t: float, curve: CurveState, kappa, path: str | Path) -> None:
-    """Write one plot-ready snapshot: header line, then 'i x y kappa' rows."""
+def write_snapshot(t: float, curve: CurveState, path: str | Path) -> None:
+    """Write one plot-ready snapshot: header line, then the curve's 'i x y kappa' rows."""
     # Python floats format faster than numpy scalars, to the same text; rows
     # stream to the file one at a time, so no whole-file string is built
     x, y = curve.nodes.T.tolist()
-    rows = zip(range(1, curve.node_count + 1), x, y, np.asarray(kappa).tolist())
+    rows = zip(range(1, curve.node_count + 1), x, y, discrete_curvature(curve).tolist())
     try:
         with open(path, "w") as out:
             out.write(f"# t={_fmt(t)} M={curve.node_count}\n")
@@ -226,7 +226,7 @@ def _cmd_run(args) -> int:
     def write_record(t: float, state: CurveState, row: DiagnosticsRow) -> None:
         nonlocal written
         path = out_dir / f"snapshot_{written:06d}.dat"
-        write_snapshot(t, state, discrete_curvature(state), path)
+        write_snapshot(t, state, path)
         # a summary line follows its snapshot, so every line on disk has its file
         summary.write(_summary_line(row))
         summary.flush()
@@ -301,11 +301,20 @@ def _cmd_study(args) -> int:
     given = {key: value for key, value in vars(args).items()
              if key not in ("command", "handler", "study", "out_dir")}
     out_dir = Path(args.out_dir)
+    made = []  # the directories made here, deepest first; the study writes none of them
     try:  # before the study runs, so an unwritable --out-dir costs no run
-        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in reversed((out_dir, *out_dir.parents)):  # in 'new/../old' only new is made
+            if not path.is_dir():
+                path.mkdir()
+                made.insert(0, path)
     except OSError as exc:
         raise CurveFlowError(f"cannot write report to {out_dir}: {exc}") from exc
-    report = args.study(**given)
+    try:
+        report = args.study(**given)
+    except BaseException:  # a study that fails leaves no directory it made
+        for path in made:
+            path.rmdir()
+        raise
     _write_report(report, out_dir)
     _print_report(report)
     print(f"report written to {args.out_dir}")

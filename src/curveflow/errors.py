@@ -10,7 +10,8 @@ class DegenerateSegmentError(CurveFlowError):
 
 
 class LinearSolverError(CurveFlowError):
-    """A cyclic tridiagonal solve failed (dominance violation or non-finite result)."""
+    """A cyclic tridiagonal solve failed: a dominance violation, a singular tridiagonal
+    part, a singular rank-one correction or a non-finite result."""
 
 
 class ConfigError(CurveFlowError):

@@ -26,11 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.typing import NDArray
 
-from .geometry import _is_real
-
-FloatArray = NDArray[np.float64]
+from .geometry import FloatArray, _is_real
 
 
 class FlowLaw(Enum):

@@ -117,15 +117,11 @@ def build_radial_curve(folds: int, amplitude: float, node_count: int = 200) -> C
         raise ValueError("folds >= 1 and integral")
     if not (_is_real(amplitude) and abs(amplitude) < 1):
         raise ValueError("|amplitude| < 1")
-    u = np.arange(node_count, dtype=np.float64) / node_count
-    r = 1.0 + amplitude * np.cos(2.0 * folds * np.pi * u)
-    angle = 2.0 * np.pi * u
-    nodes = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
-    return CurveState(nodes)
+    return _polar_curve(lambda u: 1.0 + amplitude * np.cos(2.0 * folds * np.pi * u), node_count)
 
 
 def build_circle(radius: float = 1.0, node_count: int = 200) -> CurveState:
-    """Regular node_count-gon inscribed in the circle of given radius.
+    """Regular node_count-gon of given radius: bitwise radius times the zero-amplitude star.
 
     Raises ValueError for a radius that is not finite and positive or a
     node_count that is not an integer >= 4.  Each message starts with the
@@ -135,9 +131,13 @@ def build_circle(radius: float = 1.0, node_count: int = 200) -> CurveState:
         raise ValueError("radius > 0")
     if not _is_count(node_count, 4):
         raise ValueError("node_count >= 4 and integral")
-    angle = 2.0 * np.pi * np.arange(node_count, dtype=np.float64) / node_count
-    nodes = radius * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    return CurveState(nodes)
+    return _polar_curve(lambda u: radius, node_count)
+
+
+def _polar_curve(radius, node_count: int) -> CurveState:  # as build_radial_curve, r = radius(u)
+    u = np.arange(node_count, dtype=np.float64) / node_count
+    r, angle = radius(u), 2.0 * np.pi * u
+    return CurveState(np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1))
 
 
 def read_polyline(path: str | Path) -> CurveState:

@@ -35,15 +35,12 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
 from scipy.linalg import solve_banded
 
 from .errors import DegenerateSegmentError, LinearSolverError
 from .flows import FlowLaw, FlowModel, forcing_value
-from .geometry import CurveState, _NodeGeometry, _is_count, _is_real, _state_geometry
+from .geometry import CurveState, FloatArray, _NodeGeometry, _is_count, _is_real, _state_geometry
 from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchmarks/tracer.py)
-
-FloatArray = NDArray[np.float64]
 
 
 @dataclass(frozen=True)

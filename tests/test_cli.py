@@ -136,18 +136,19 @@ def _awkward_snapshot(node_count):
 
 class TestSnapshotFormat:
     @pytest.mark.parametrize("node_count", [4, 1000])
-    def test_matches_the_per_row_formula(self, tmp_path, node_count):
+    def test_matches_the_per_row_formula(self, tmp_path, monkeypatch, node_count):
+        # the kappa column carries values no curve has (+-inf, nan, -0.0)
         curve, kappa = _awkward_snapshot(node_count)
+        monkeypatch.setattr(cli, "discrete_curvature", lambda _: kappa)
         path = tmp_path / "awkward.dat"
         for t in (0.0, 3 * 1e-4, 0.1):
-            write_snapshot(t, curve, kappa, path)
+            write_snapshot(t, curve, path)
             assert path.read_bytes() == _per_row_snapshot(t, curve, kappa).encode()
 
     def test_unit_square_rows(self, tmp_path):
         square = CurveState([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        kappa = discrete_curvature(square)
         path = tmp_path / "square.dat"
-        write_snapshot(0.0, square, kappa, path)
+        write_snapshot(0.0, square, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# t=0 M=4"
         assert len(lines) == 5
@@ -156,9 +157,8 @@ class TestSnapshotFormat:
 
     def test_round_trip_is_exact(self, tmp_path):
         curve = build_radial_curve(5, 0.65, 200)
-        kappa = discrete_curvature(curve)
         path = tmp_path / "five.dat"
-        write_snapshot(0.0, curve, kappa, path)
+        write_snapshot(0.0, curve, path)
         points = []
         for line in path.read_text().splitlines():
             if line.startswith("#"):
@@ -172,17 +172,15 @@ class TestSnapshotFormat:
         from curveflow import CurveFlowError
 
         square = CurveState([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        kappa = discrete_curvature(square)
         target = tmp_path / "no-such-dir" / "x.dat"
         with pytest.raises(CurveFlowError, match="no-such-dir"):
-            write_snapshot(0.0, square, kappa, target)
+            write_snapshot(0.0, square, target)
 
     def test_five_fold_snapshot_area(self, tmp_path):
         # shoelace of the written rows against the polar-area quadrature oracle
         curve = build_radial_curve(5, 0.65, 200)
-        kappa = discrete_curvature(curve)
         path = tmp_path / "five.dat"
-        write_snapshot(0.0, curve, kappa, path)
+        write_snapshot(0.0, curve, path)
         rows = np.loadtxt(path)
         assert rows.shape == (200, 4)
         area = 0.5 * np.sum(
@@ -265,6 +263,18 @@ class TestRunCommand:
             rows = np.loadtxt(out / f"snapshot_{index:06d}.dat")
             d = segment_lengths(CurveState(rows[:, 1:3]))
             assert float(line.split(",")[-1]) == d.min()
+
+    def test_snapshot_kappa_column_is_its_own_curves(self, run_dir):
+        # the kappa column, read back, is the discrete curvature of the x and y
+        # columns, bit for bit (%.17g round-trips)
+        text = EX2_CONFIG.replace("t_final = 0.5", "t_final = 3e-3\nsnapshot_every = 10")
+        assert run_cli(["run", _write(run_dir / "run.conf", text)]) == 0
+        snapshots = sorted((run_dir / "out").glob("snapshot_*.dat"))
+        assert len(snapshots) == 4
+        for path in snapshots:
+            rows = np.loadtxt(path)
+            kappa = discrete_curvature(CurveState(rows[:, 1:3]))
+            assert rows[:, 3].tobytes() == kappa.tobytes()
 
     def test_polyline_input_resolves_relative_to_config(self, run_dir):
         (run_dir / "sub").mkdir()
@@ -543,7 +553,7 @@ class TestStudySubcommands:
         assert run_cli(["convergence", "--base-tau", "0.3", "--out-dir", "cv-out"]) == 2
         err = capsys.readouterr().err
         assert err == "error: circle-extinction-tau-0.3 ended completed, not extinct, at t=1.2\n"
-        assert not (run_dir / "cv-out" / "report.csv").exists()
+        assert not (run_dir / "cv-out").exists()
 
     def test_shrinking_study_without_extinction_exits_2(self, run_dir, capsys):
         # at tau = 0.3 the 40-node 4-fold star completes [0, 0.6] without going
@@ -552,7 +562,20 @@ class TestStudySubcommands:
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert err == "error: shrinking-4fold ended completed, not extinct, at t=0.6\n"
-        assert not (run_dir / "ex-out" / "report.csv").exists()
+        assert not (run_dir / "ex-out").exists()
+
+    @pytest.mark.parametrize("out_dir", ["keep", "keep/sub", "new/a/b", "new/../empty"])
+    def test_failed_study_leaves_no_directory_it_made(self, run_dir, capsys, out_dir):
+        # the directories that existed, and their files, stay as they were; an
+        # empty one reached through a new directory is not one made here
+        (run_dir / "keep").mkdir()
+        (run_dir / "keep" / "x").write_text("kept")
+        (run_dir / "empty").mkdir()
+        assert run_cli(["examples", "--nodes", "3", "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err.startswith("error: --nodes ")
+        assert [p.name for p in (run_dir / "keep").iterdir()] == ["x"]
+        assert (run_dir / "keep" / "x").read_text() == "kept"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["empty", "keep"]
 
     def test_removed_base_nodes_flag_exits_1(self, run_dir, capsys):
         # convergence has no spatial sweep, so --base-nodes is an unknown flag
@@ -590,6 +613,7 @@ class TestStudySubcommands:
         # the library names its parameter; the error names the flag that set it
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not (run_dir / "bad-out").exists()
 
     def test_value_error_without_a_message_exits_1(self, run_dir, monkeypatch, capsys):
         def failing(**_):

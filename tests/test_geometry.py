@@ -167,6 +167,15 @@ class TestBuilders:
         curve = build_circle(2.5, 128)
         assert np.allclose(np.linalg.norm(curve.nodes, axis=1), 2.5, rtol=1e-14)
 
+    @pytest.mark.parametrize("radius", [1.0, 2.5, 2.0**-30])
+    @pytest.mark.parametrize("folds", [1, 5])
+    @pytest.mark.parametrize("node_count", [4, 7, 40, 200, 1000])
+    def test_circle_is_the_scaled_zero_amplitude_star(self, node_count, folds, radius):
+        # one polar sampling: the regular M-gon is one polygon, bit for bit
+        star = build_radial_curve(folds, 0.0, node_count)
+        circle = build_circle(radius, node_count)
+        assert circle.nodes.tobytes() == (radius * star.nodes).tobytes()
+
 
 class TestPolyline:
     def test_square_ccw(self):
