@@ -20,8 +20,8 @@ from .errors import CurveFlowError
 from .flows import FlowLaw, FlowModel
 from .geometry import (
     CurveState,
-    _is_count,
-    _is_real,
+    _count,
+    _real,
     build_circle,
     build_radial_curve,
     read_polyline,
@@ -49,8 +49,8 @@ class CircleOracle:
     model: FlowModel
 
     def __post_init__(self):
-        if not (_is_real(self.initial_radius) and self.initial_radius > 0):
-            raise ValueError("initial_radius must be positive")
+        radius = _real(self.initial_radius, "initial_radius must be positive", lambda r: r > 0)
+        object.__setattr__(self, "initial_radius", radius)
 
     def extinction_time(self) -> float | None:
         """Time at which the circle vanishes, or None if it never does."""
@@ -72,8 +72,7 @@ def circle_radius(oracle: CircleOracle, t: float) -> float | None:
     area-preserving circle is stationary; a nonzero constant force F
     inverts the exact elapsed time of dr/dt = F - 1/r by bisection.
     """
-    if not (_is_real(t) and t >= 0):
-        raise ValueError("t must be >= 0")
+    t = _real(t, "t must be >= 0", lambda t: t >= 0)
     r0 = oracle.initial_radius
     law = oracle.model.law
     if law is FlowLaw.AREA_PRESERVING:
@@ -193,10 +192,9 @@ def convergence_study(base_tau: float = 4e-5, levels: int = 3) -> StudyReport:
     CurveFlowError (``_run_study``).  The fitted log-log order lands in
     ``fitted_orders``, the raw errors in ``error_tables``.
     """
-    if not (_is_real(base_tau) and 0 < base_tau < 0.5):
-        raise ValueError("base_tau in (0, 0.5); at 0.5 the coarsest run is already at extinction")
-    if not _is_count(levels, 3):
-        raise ValueError("levels >= 3")
+    base_tau = _real(base_tau, "base_tau in (0, 0.5); at 0.5 the coarsest run is already at"
+                     " extinction", lambda tau: 0 < tau < 0.5)
+    levels = _count(levels, 3, "levels >= 3")
 
     csf = FlowModel.curve_shortening()
     exact = CircleOracle(1.0, csf).extinction_time()

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import FloatArray, _is_real
+from .geometry import FloatArray, _real
 
 
 class FlowLaw(Enum):
@@ -49,8 +49,7 @@ class FlowModel:
     force: float = 0.0
 
     def __post_init__(self):
-        if not _is_real(self.force):
-            raise ValueError("force must be finite")
+        object.__setattr__(self, "force", _real(self.force, "force must be finite"))
         if self.law is not FlowLaw.CONSTANT_FORCE and self.force != 0.0:
             raise ValueError(f"{self.law.value} does not take a force value")
 

@@ -31,18 +31,24 @@ from numpy.typing import NDArray
 FloatArray = NDArray[np.float64]
 
 
-def _is_count(value, least: int) -> bool:
-    """An integer, not a bool, of at least ``least``."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+def _count(value, least: int, message: str) -> int:
+    """``value`` as the int the arithmetic uses; ValueError(message) unless it is an
+    integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(message)
+    return int(value)
 
 
-def _is_real(value) -> bool:
-    """A real number, not a bool, finite as a float (no int too large for one)."""
-    try:  # math.isfinite, as a comparison with the float64 maximum overflows a float32
-        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-                and math.isfinite(value))
-    except OverflowError:  # an int too large for a float
-        return False
+def _real(value, message: str, holds=math.isfinite) -> float:
+    """``value`` as the float the arithmetic uses; ValueError(message) unless it is a
+    real number, not a bool, finite as a float, for which ``holds`` is true."""
+    try:  # float() of an int too large for a float overflows
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        number = math.nan
+    if isinstance(value, bool) or not (math.isfinite(number) and holds(number)):
+        raise ValueError(message)
+    return number
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -111,12 +117,8 @@ def build_radial_curve(folds: int, amplitude: float, node_count: int = 200) -> C
     node_count that is not an integer >= 4.  Each message starts with the
     violated parameter.
     """
-    if not _is_count(node_count, 4):
-        raise ValueError("node_count >= 4 and integral")
-    if not _is_count(folds, 1):
-        raise ValueError("folds >= 1 and integral")
-    if not (_is_real(amplitude) and abs(amplitude) < 1):
-        raise ValueError("|amplitude| < 1")
+    folds = _count(folds, 1, "folds >= 1 and integral")
+    amplitude = _real(amplitude, "|amplitude| < 1", lambda a: abs(a) < 1)
     return _polar_curve(lambda u: 1.0 + amplitude * np.cos(2.0 * folds * np.pi * u), node_count)
 
 
@@ -127,14 +129,12 @@ def build_circle(radius: float = 1.0, node_count: int = 200) -> CurveState:
     node_count that is not an integer >= 4.  Each message starts with the
     violated parameter.
     """
-    if not (_is_real(radius) and radius > 0):
-        raise ValueError("radius > 0")
-    if not _is_count(node_count, 4):
-        raise ValueError("node_count >= 4 and integral")
+    radius = _real(radius, "radius > 0", lambda r: r > 0)
     return _polar_curve(lambda u: radius, node_count)
 
 
 def _polar_curve(radius, node_count: int) -> CurveState:  # as build_radial_curve, r = radius(u)
+    node_count = _count(node_count, 4, "node_count >= 4 and integral")
     u = np.arange(node_count, dtype=np.float64) / node_count
     r, angle = radius(u), 2.0 * np.pi * u
     return CurveState(np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1))

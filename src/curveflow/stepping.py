@@ -39,7 +39,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DegenerateSegmentError, LinearSolverError
 from .flows import FlowLaw, FlowModel, forcing_value
-from .geometry import CurveState, FloatArray, _NodeGeometry, _is_count, _is_real, _state_geometry
+from .geometry import CurveState, FloatArray, _NodeGeometry, _count, _real, _state_geometry
 from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchmarks/tracer.py)
 
 
@@ -56,14 +56,12 @@ class SolverConfig:
     snapshot_every: int = 100
 
     def __post_init__(self):
-        if not (_is_real(self.tau) and self.tau > 0):
-            raise ValueError("tau > 0")
-        if not (_is_real(self.t_final) and self.t_final >= 0):
-            raise ValueError("t_final >= 0")
+        object.__setattr__(self, "tau", _real(self.tau, "tau > 0", lambda tau: tau > 0))
+        object.__setattr__(self, "t_final", _real(self.t_final, "t_final >= 0", lambda t: t >= 0))
         if not math.isfinite(self.t_final / self.tau):
             raise ValueError("tau too small: t_final / tau overflows")
-        if not _is_count(self.snapshot_every, 1):
-            raise ValueError("snapshot_every >= 1")
+        every = _count(self.snapshot_every, 1, "snapshot_every >= 1")
+        object.__setattr__(self, "snapshot_every", every)
 
 
 class DiagnosticsRow(NamedTuple):

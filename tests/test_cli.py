@@ -1,12 +1,17 @@
 """Config parsing, snapshot/summary formats, and CLI end-to-end runs."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import curveflow
 from curveflow import (
     ConfigError,
     CurveState,
@@ -503,6 +508,22 @@ class TestRunCommand:
     def test_help_exits_0(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "curveflow" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, status, stream, text",
+        [
+            (["--help"], 0, "stdout", "usage: curveflow"),
+            (["examples", "--nodes", "3"], 1, "stderr", "error: --nodes"),
+        ],
+        ids=["help", "bad-nodes"],
+    )
+    def test_module_entry_point_exits_with_the_status(self, run_dir, argv, status, stream, text):
+        # cli.main and its __main__ guard, in a process of their own
+        env = dict(os.environ, PYTHONPATH=str(Path(curveflow.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "curveflow.cli", *argv], cwd=run_dir,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == status
+        assert text in getattr(done, stream)
 
 
 class TestStudySubcommands:

@@ -14,6 +14,7 @@ from curveflow import (
     build_radial_curve,
     circle_radius,
     discrete_curvature,
+    evolve,
     read_polyline,
     segment_lengths,
     write_polyline,
@@ -385,3 +386,41 @@ def test_real_parameters_reject_a_bool_or_a_string(name, value):
 def test_real_parameters_accept_a_numpy_float(name):
     for dtype in (np.float64, np.float32, np.float16):
         REAL_PARAMETERS[name](dtype(0.5))
+
+
+class TestANumpyScalarIsTheNumberItHolds:
+    """Each real parameter is used as the Python float it holds, so a float32
+    input runs the float64 arithmetic of its value, bit for bit."""
+
+    STAR = build_radial_curve(5, 0.3, 64)
+
+    def test_solver_config_times(self):
+        law = FlowModel.area_preserving()
+        t_final, tau = np.float32(0.002), np.float32(1e-4)
+        narrow = SolverConfig(law, t_final=t_final, tau=tau, snapshot_every=1)
+        wide = SolverConfig(law, t_final=float(t_final), tau=float(tau), snapshot_every=1)
+        assert type(narrow.t_final) is float and type(narrow.tau) is float
+        run = evolve(self.STAR, narrow)
+        assert all(type(t) is float for t in run.times)
+        assert np.array_equal(run.final_state.nodes, evolve(self.STAR, wide).final_state.nodes)
+
+    def test_constant_force(self):
+        def final_nodes(force):
+            config = SolverConfig(FlowModel.constant_force(force), t_final=0.002, tau=1e-4)
+            return evolve(self.STAR, config).final_state.nodes
+
+        model = FlowModel.constant_force(np.float32(0.7))
+        assert type(model.force) is float
+        assert np.array_equal(final_nodes(np.float32(0.7)), final_nodes(float(np.float32(0.7))))
+
+    def test_circle_oracle(self):
+        csf = FlowModel.curve_shortening()
+        narrow = CircleOracle(np.float32(1.7), csf)
+        wide = CircleOracle(float(np.float32(1.7)), csf)
+        assert circle_radius(narrow, 0.3) == circle_radius(wide, 0.3) == 1.5132746486096422
+        assert type(narrow.extinction_time()) is float
+
+    def test_circle_radius_time(self):
+        oracle = CircleOracle(1.0, FlowModel.curve_shortening())
+        t = np.float32(0.3)
+        assert circle_radius(oracle, t) == circle_radius(oracle, float(t))

@@ -137,6 +137,7 @@ class TestSolverConfig:
     def test_snapshot_every_accepts_a_numpy_integer(self):
         config = SolverConfig(FlowModel.curve_shortening(), t_final=1e-3, tau=1e-4,
                               snapshot_every=np.int64(5))
+        assert type(config.snapshot_every) is int
         assert evolve(build_circle(1.0, 16), config).times == pytest.approx(
             [0.0, 5e-4, 1e-3]
         )
