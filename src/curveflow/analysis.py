@@ -18,14 +18,7 @@ import numpy as np
 
 from .errors import CurveFlowError
 from .flows import FlowLaw, FlowModel
-from .geometry import (
-    CurveState,
-    _count,
-    _real,
-    build_circle,
-    build_radial_curve,
-    read_polyline,
-)
+from .geometry import CurveState, _real, build_circle, build_radial_curve, read_polyline
 from .stepping import SolverConfig, Trajectory, TrajectoryStatus, evolve
 
 
@@ -153,29 +146,27 @@ def _run_study(name: str, curve: CurveState, config: SolverConfig) -> StudyRecor
     )
 
 
-def run_reference_studies(node_count: int = 200, tau: float = 1e-4) -> StudyReport:
+def run_reference_studies() -> StudyReport:
     """Run the four bundled studies and report their conservation scalars.
 
-    Three radial initial curves (a shrinking 4-fold star under curve
-    shortening, run until its extinction; 5-fold and 10-fold stars under
-    the conserved flow over [0, 0.5]) plus the nonconvex polyline fixture
-    under the conserved flow over [0, 1.25].  An aborted run is recorded,
-    with its error in ``trajectory.error``; a shrinking study that ends
-    completed, not extinct, raises CurveFlowError (``_run_study``).
+    Three radial initial curves at M = 200 (a shrinking 4-fold star under
+    curve shortening, run until its extinction; 5-fold and 10-fold stars
+    under the conserved flow over [0, 0.5]) plus the nonconvex polyline
+    fixture under the conserved flow over [0, 1.25], all at tau = 1e-4.
+    An aborted run is recorded, with its error in ``trajectory.error``; a
+    shrinking study that ends completed, not extinct, raises
+    CurveFlowError (``_run_study``).
     """
     csf = FlowModel.curve_shortening()
     conserved = FlowModel.area_preserving()
     studies = [
-        ("shrinking-4fold", build_radial_curve(4, 0.4, node_count),
-         SolverConfig(csf, t_final=0.6, tau=tau)),
-        ("conserved-5fold", build_radial_curve(5, 0.65, node_count),
-         SolverConfig(conserved, t_final=0.5, tau=tau)),
-        ("conserved-10fold", build_radial_curve(10, 0.45, node_count),
-         SolverConfig(conserved, t_final=0.5, tau=tau)),
-        ("conserved-polyline", nonconvex_fixture(),
-         SolverConfig(conserved, t_final=1.25, tau=tau)),
+        ("shrinking-4fold", build_radial_curve(4, 0.4, 200), csf, 0.6),
+        ("conserved-5fold", build_radial_curve(5, 0.65, 200), conserved, 0.5),
+        ("conserved-10fold", build_radial_curve(10, 0.45, 200), conserved, 0.5),
+        ("conserved-polyline", nonconvex_fixture(), conserved, 1.25),
     ]
-    return StudyReport(records=[_run_study(*study) for study in studies])
+    return StudyReport(records=[_run_study(name, curve, SolverConfig(model, t_final, tau=1e-4))
+                                for name, curve, model, t_final in studies])
 
 
 def _fit_order(x: list[float], err: list[float]) -> float:
@@ -184,24 +175,19 @@ def _fit_order(x: list[float], err: list[float]) -> float:
     return float(slope)
 
 
-def convergence_study(base_tau: float = 4e-5, levels: int = 3) -> StudyReport:
+def convergence_study() -> StudyReport:
     """Temporal refinement study: the regular unit 200-gon under curve
-    shortening at tau = base_tau / 2^k, k < levels, each level's error its
+    shortening at tau = 4e-5, 2e-5 and 1e-5, each level's error its
     extinction time against ``CircleOracle``'s 1/2.  An aborted level is
     recorded and left out of the fit; one that ends completed raises
     CurveFlowError (``_run_study``).  The fitted log-log order lands in
     ``fitted_orders``, the raw errors in ``error_tables``.
     """
-    base_tau = _real(base_tau, "base_tau in (0, 0.5); at 0.5 the coarsest run is already at"
-                     " extinction", lambda tau: 0 < tau < 0.5)
-    levels = _count(levels, 3, "levels >= 3")
-
     csf = FlowModel.curve_shortening()
     exact = CircleOracle(1.0, csf).extinction_time()
     records = []
     extinction_errors = []
-    for k in range(levels):
-        tau = base_tau / 2**k
+    for tau in (4e-5, 2e-5, 1e-5):
         config = SolverConfig(csf, t_final=1.0, tau=tau, snapshot_every=2000)
         record = _run_study(f"circle-extinction-tau-{tau:g}", build_circle(1.0, 200), config)
         records.append(record)

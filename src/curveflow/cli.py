@@ -58,19 +58,11 @@ _KEYS = {
     "polyline_path": (str, ("polyline",)),
 }
 
-#: parameters whose config key, and whose flag with '-' for '_', is another name
+#: parameters whose config key is another name
 _PARAMETER_KEYS = {"node_count": "nodes"}
 
 #: one column per DiagnosticsRow field, in field order
 SUMMARY_HEADER = "t,length,area,F,isoperimetric_ratio,uniformity_ratio,min_segment"
-
-
-def _renamed(exc: ValueError, names: dict[str, str]) -> tuple[str, str]:
-    """``exc``'s message, which starts with the violated parameter, with that
-    parameter renamed by ``names`` if it is there; and its new name."""
-    name = str(exc).partition(" ")[0].strip("|")
-    new = names.get(name, name)
-    return str(exc).replace(name, new, 1), new
 
 
 def _fmt(value: float) -> str:
@@ -143,8 +135,9 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunSpec:
         try:
             return build(*args, **kwargs)
         except ValueError as exc:
-            message, key = _renamed(exc, _PARAMETER_KEYS)
-            raise ConfigError(message, lines.get(key)) from None
+            name = str(exc).partition(" ")[0].strip("|")
+            key = _PARAMETER_KEYS.get(name, name)
+            raise ConfigError(str(exc).replace(name, key, 1), lines.get(key)) from None
 
     curve = choice("curve", _CURVES)
     for key, lineno in lines.items():
@@ -298,8 +291,6 @@ def _write_report(report: StudyReport, out_dir: Path) -> None:
 
 
 def _cmd_study(args) -> int:
-    given = {key: value for key, value in vars(args).items()
-             if key not in ("command", "handler", "study", "out_dir")}
     out_dir = Path(args.out_dir)
     made = []  # the directories made here, deepest first; the study writes none of them
     try:  # before the study runs, so an unwritable --out-dir costs no run
@@ -310,7 +301,7 @@ def _cmd_study(args) -> int:
     except OSError as exc:
         raise CurveFlowError(f"cannot write report to {out_dir}: {exc}") from exc
     try:
-        report = args.study(**given)
+        report = args.study()
     except BaseException:  # a study that fails leaves no directory it made
         for path in made:
             path.rmdir()
@@ -334,18 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a 'key = value' config file")
     p_run.set_defaults(handler=_cmd_run)
 
-    # a study flag left out stays out of the namespace, so the study's own
-    # signature holds every default
     p_examples = sub.add_parser("examples", help="run the bundled reference studies")
-    p_examples.add_argument("--nodes", dest="node_count", metavar="NODES", type=int,
-                            default=argparse.SUPPRESS)
-    p_examples.add_argument("--tau", type=float, default=argparse.SUPPRESS)
     p_examples.add_argument("--out-dir", default="examples-out")
     p_examples.set_defaults(handler=_cmd_study, study=run_reference_studies)
 
     p_conv = sub.add_parser("convergence", help="temporal refinement study")
-    p_conv.add_argument("--base-tau", type=float, default=argparse.SUPPRESS)
-    p_conv.add_argument("--levels", type=int, default=argparse.SUPPRESS)
     p_conv.add_argument("--out-dir", default="convergence-out")
     p_conv.set_defaults(handler=_cmd_study, study=convergence_study)
     return parser
@@ -364,11 +348,6 @@ def run_cli(argv: list[str] | None = None) -> int:
             return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # it names a parameter; name the flag that set it
-        flags = {name: "--" + _PARAMETER_KEYS.get(name, name).replace("_", "-")
-                 for name in vars(args)}
-        print(f"error: {_renamed(exc, flags)[0]}", file=sys.stderr)
         return 1
     except CurveFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)

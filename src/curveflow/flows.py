@@ -42,7 +42,9 @@ class FlowModel:
 
     CURVE_SHORTENING is by construction the same computation as
     CONSTANT_FORCE with force 0, so the two produce bitwise-identical
-    trajectories.
+    trajectories.  F acts along the discrete normal N_i, which points
+    outward only when the nodes run counterclockwise: a clockwise curve
+    under F runs as the counterclockwise one under -F.
     """
 
     law: FlowLaw

@@ -164,8 +164,10 @@ def read_polyline(path: str | Path) -> CurveState:
 
 
 def write_polyline(curve: CurveState, path: str | Path) -> None:
-    """Write a curve in the polyline format with 17 significant digits."""
-    np.savetxt(path, curve.nodes, fmt="%.17g")
+    """Write a curve in the polyline format with 17 significant digits, as
+    plain text whatever the suffix (``np.savetxt`` would gzip a '.gz' path)."""
+    with open(path, "w") as out:
+        np.savetxt(out, curve.nodes, fmt="%.17g")
 
 
 class _NodeGeometry(NamedTuple):

@@ -20,14 +20,14 @@ settings.load_profile("tier1")
 
 @pytest.fixture(scope="session")
 def reference_report():
-    """The four bundled studies at their default parameters (M=200, tau=1e-4)."""
+    """The four bundled studies (M=200, tau=1e-4)."""
     return run_reference_studies()
 
 
 @pytest.fixture(scope="session")
 def convergence_report():
     """Temporal sweep of the unit 200-gon's extinction, tau in {4,2,1}e-5."""
-    return convergence_study(base_tau=4e-5, levels=3)
+    return convergence_study()
 
 
 @pytest.fixture(scope="session")

@@ -237,20 +237,6 @@ class TestReferenceStudies:
 
 
 class TestConvergenceStudy:
-    def test_rejects_too_few_levels(self):
-        with pytest.raises(ValueError, match="levels"):
-            convergence_study(levels=2)
-
-    @pytest.mark.parametrize("levels", [3.5, True, 4.0])
-    def test_rejects_a_non_integral_level_count(self, levels):
-        # a ValueError from the check, not a TypeError from range()
-        with pytest.raises(ValueError, match="levels"):
-            convergence_study(levels=levels)
-
-    def test_rejects_coarse_tau_at_extinction(self):
-        with pytest.raises(ValueError, match="extinction"):
-            convergence_study(base_tau=0.6)
-
     def test_report_contents(self, convergence_report):
         assert len(convergence_report.records) == 3
         for record in convergence_report.records:

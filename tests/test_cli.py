@@ -513,7 +513,7 @@ class TestRunCommand:
         "argv, status, stream, text",
         [
             (["--help"], 0, "stdout", "usage: curveflow"),
-            (["examples", "--nodes", "3"], 1, "stderr", "error: --nodes"),
+            (["examples", "--nodes", "3"], 1, "stderr", "unrecognized arguments: --nodes 3"),
         ],
         ids=["help", "bad-nodes"],
     )
@@ -527,122 +527,91 @@ class TestRunCommand:
 
 
 class TestStudySubcommands:
-    def test_examples_fast(self, run_dir, capsys):
-        assert run_cli(
-            ["examples", "--nodes", "100", "--tau", "5e-4", "--out-dir", "ex-out"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "shrinking-4fold" in out
-        report = (run_dir / "ex-out" / "report.csv").read_text().splitlines()
-        assert len(report) == 5
-        assert (run_dir / "ex-out" / "conserved-5fold" / "summary.csv").exists()
-
     def test_examples_default_parameters_hold_area(self, run_dir, monkeypatch, capsys,
                                                    reference_report):
-        # at the default resolution the conserved 5-fold study must keep
-        # its area drift within 0.5%; the session fixture already ran the
-        # studies at their defaults
-        def defaults_run(**given):
-            assert given == {}
-            return reference_report
-
-        monkeypatch.setattr(cli, "run_reference_studies", defaults_run)
+        # at M = 200 and tau = 1e-4 the conserved 5-fold study must keep its
+        # area drift within 0.5%; the session fixture already ran the studies
+        monkeypatch.setattr(cli, "run_reference_studies", lambda: reference_report)
         assert run_cli(["examples", "--out-dir", "ex-full"]) == 0
-        capsys.readouterr()
+        assert "shrinking-4fold" in capsys.readouterr().out
         lines = (run_dir / "ex-full" / "report.csv").read_text().splitlines()
+        assert len(lines) == 5
         header = lines[0].split(",")
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
         drift = float(rows["conserved-5fold"][header.index("area_drift")])
         assert drift <= 5e-3
         assert rows["shrinking-4fold"][header.index("status")] == "extinct"
+        assert (run_dir / "ex-full" / "conserved-5fold" / "summary.csv").exists()
 
     def test_convergence_fast(self, run_dir, monkeypatch, capsys, convergence_report):
-        # the session fixture already ran the study at its defaults
-        def defaults_run(**given):
-            assert given == {}
-            return convergence_report
-
-        monkeypatch.setattr(cli, "convergence_study", defaults_run)
+        # the session fixture already ran the study
+        monkeypatch.setattr(cli, "convergence_study", lambda: convergence_report)
         assert run_cli(["convergence", "--out-dir", "cv-out"]) == 0
         out = capsys.readouterr().out
         assert "fitted order extinction_time_vs_tau: " in out
         assert (run_dir / "cv-out" / "extinction_time_error_vs_tau.csv").exists()
 
-    def test_convergence_level_without_extinction_exits_2(self, run_dir, capsys):
-        # at tau = 0.3 the 200-gon completes [0, 1] without going extinct, so
-        # the temporal fit has no error at that level
-        assert run_cli(["convergence", "--base-tau", "0.3", "--out-dir", "cv-out"]) == 2
+    def test_convergence_level_without_extinction_exits_2(self, run_dir, monkeypatch, capsys):
+        # a step that leaves the 200-gon as it is completes [0, 1] without
+        # extinction, so the temporal fit has no error at its first level
+        monkeypatch.setattr(stepping, "step", lambda curve, config: CurveState(curve.nodes))
+        assert run_cli(["convergence", "--out-dir", "cv-out"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: circle-extinction-tau-0.3 ended completed, not extinct, at t=1.2\n"
+        assert err == "error: circle-extinction-tau-4e-05 ended completed, not extinct, at t=1\n"
         assert not (run_dir / "cv-out").exists()
 
-    def test_shrinking_study_without_extinction_exits_2(self, run_dir, capsys):
-        # at tau = 0.3 the 40-node 4-fold star completes [0, 0.6] without going
+    def test_shrinking_study_without_extinction_exits_2(self, run_dir, monkeypatch, capsys):
+        # with the same step the 4-fold star completes [0, 0.6] without going
         # extinct, and the rule that ends convergence's levels ends it too
-        argv = ["examples", "--nodes", "40", "--tau", "0.3", "--out-dir", "ex-out"]
-        assert run_cli(argv) == 2
+        monkeypatch.setattr(stepping, "step", lambda curve, config: CurveState(curve.nodes))
+        assert run_cli(["examples", "--out-dir", "ex-out"]) == 2
         err = capsys.readouterr().err
         assert err == "error: shrinking-4fold ended completed, not extinct, at t=0.6\n"
         assert not (run_dir / "ex-out").exists()
 
     @pytest.mark.parametrize("out_dir", ["keep", "keep/sub", "new/a/b", "new/../empty"])
-    def test_failed_study_leaves_no_directory_it_made(self, run_dir, capsys, out_dir):
+    def test_failed_study_leaves_no_directory_it_made(self, run_dir, monkeypatch, out_dir):
         # the directories that existed, and their files, stay as they were; an
-        # empty one reached through a new directory is not one made here
+        # empty one reached through a new directory is not one made here.  A
+        # Ctrl-C is no Exception, so it takes the widest path out.
+        def interrupted():
+            raise KeyboardInterrupt
+
         (run_dir / "keep").mkdir()
         (run_dir / "keep" / "x").write_text("kept")
         (run_dir / "empty").mkdir()
-        assert run_cli(["examples", "--nodes", "3", "--out-dir", out_dir]) == 1
-        assert capsys.readouterr().err.startswith("error: --nodes ")
+        monkeypatch.setattr(cli, "run_reference_studies", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["examples", "--out-dir", out_dir])
         assert [p.name for p in (run_dir / "keep").iterdir()] == ["x"]
         assert (run_dir / "keep" / "x").read_text() == "kept"
         assert sorted(p.name for p in run_dir.iterdir()) == ["empty", "keep"]
 
-    def test_removed_base_nodes_flag_exits_1(self, run_dir, capsys):
-        # convergence has no spatial sweep, so --base-nodes is an unknown flag
-        assert run_cli(["convergence", "--base-nodes", "8", "--out-dir", "bad-out"]) == 1
-        assert "unrecognized arguments: --base-nodes 8" in capsys.readouterr().err
-        assert not (run_dir / "bad-out").exists()
-
     @pytest.mark.parametrize(
         "argv",
         [
-            ["examples", "--nodes", "100", "--tau", "5e-4"],
-            ["convergence", "--base-tau", "1.6e-4"],
+            ["examples", "--nodes", "100"],
+            ["examples", "--tau", "5e-4"],
+            ["convergence", "--base-tau", "1e-4"],
+            ["convergence", "--levels", "4"],
+            ["convergence", "--base-nodes", "8"],
         ],
-        ids=["examples", "convergence"],
+        ids=lambda argv: argv[1],
     )
-    def test_aborted_study_exits_2(self, run_dir, monkeypatch, capsys, argv):
+    def test_removed_base_nodes_flag_exits_1(self, run_dir, capsys, argv):
+        # the studies are fixed, so a study parameter is an unknown flag
+        assert run_cli(argv + ["--out-dir", "bad-out"]) == 1
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (run_dir / "bad-out").exists()
+
+    @pytest.mark.parametrize("command", ["examples", "convergence"])
+    def test_aborted_study_exits_2(self, run_dir, monkeypatch, capsys, command):
         def failing_step(curve, config):
             raise LinearSolverError("injected failure")
 
         monkeypatch.setattr(stepping, "step", failing_step)
-        assert run_cli(argv + ["--out-dir", "abort-out"]) == 2
+        assert run_cli([command, "--out-dir", "abort-out"]) == 2
         assert "at least one study aborted" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            (["examples", "--nodes", "3", "--out-dir", "bad-out"], "--nodes"),
-            (["convergence", "--base-tau", "-1", "--out-dir", "bad-out"], "--base-tau"),
-            (["convergence", "--levels", "2", "--out-dir", "bad-out"], "--levels"),
-            (["examples", "--tau", "-1", "--out-dir", "bad-out"], "--tau"),
-        ],
-        ids=["nodes", "base-tau", "levels", "tau"],
-    )
-    def test_invalid_flag_is_named(self, run_dir, capsys, argv, flag):
-        # the library names its parameter; the error names the flag that set it
-        assert run_cli(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: {flag} ")
-        assert not (run_dir / "bad-out").exists()
-
-    def test_value_error_without_a_message_exits_1(self, run_dir, monkeypatch, capsys):
-        def failing(**_):
-            raise ValueError()
-
-        monkeypatch.setattr(cli, "run_reference_studies", failing)
-        assert run_cli(["examples"]) == 1
-        assert capsys.readouterr().err == "error: \n"
 
     @pytest.mark.parametrize(
         "command, study",
@@ -655,8 +624,8 @@ class TestStudySubcommands:
         (run_dir / "taken").write_text("")
         calls = []
 
-        def recording(**kwargs):
-            calls.append(kwargs)
+        def recording():
+            calls.append(study)
             return StudyReport(records=[])
 
         monkeypatch.setattr(cli, study, recording)
@@ -668,51 +637,43 @@ class TestStudySubcommands:
         "blocked, message",
         [
             ("report.csv", "cannot write report to cv-out: "),
-            ("circle-extinction-tau-0.01/summary.csv",
-             "cannot write summary cv-out/circle-extinction-tau-0.01/summary.csv: "),
+            ("circle-extinction-tau-4e-05/summary.csv",
+             "cannot write summary cv-out/circle-extinction-tau-4e-05/summary.csv: "),
         ],
         ids=["report", "summary"],
     )
-    def test_unwritable_report_file_exits_2(self, run_dir, capsys, blocked, message):
+    def test_unwritable_report_file_exits_2(self, run_dir, monkeypatch, capsys,
+                                            convergence_report, blocked, message):
         # a directory where the study writes a file
         (run_dir / "cv-out" / blocked).mkdir(parents=True)
-        argv = ["convergence", "--base-tau", "0.01", "--levels", "3"]
-        assert run_cli(argv + ["--out-dir", "cv-out"]) == 2
+        monkeypatch.setattr(cli, "convergence_study", lambda: convergence_report)
+        assert run_cli(["convergence", "--out-dir", "cv-out"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_unexpected_failure_exits_2(self, run_dir, monkeypatch, capsys):
-        def failing(**_):
-            raise RuntimeError("injected")
+        # a study's ValueError, even one without a message, is no config error
+        for error, message in [(RuntimeError("injected"), "injected"), (ValueError(), "")]:
+            def failing():
+                raise error
 
-        monkeypatch.setattr(cli, "run_reference_studies", failing)
-        assert run_cli(["examples", "--out-dir", "failed-out"]) == 2
-        assert capsys.readouterr().err == "error: unexpected failure: injected\n"
+            monkeypatch.setattr(cli, "run_reference_studies", failing)
+            assert run_cli(["examples", "--out-dir", "failed-out"]) == 2
+            assert capsys.readouterr().err == f"error: unexpected failure: {message}\n"
 
     @pytest.mark.parametrize(
-        "argv, study, given",
-        [
-            (["examples"], "run_reference_studies", {}),
-            (["examples", "--nodes", "100"], "run_reference_studies", {"node_count": 100}),
-            (["examples", "--tau", "5e-4"], "run_reference_studies", {"tau": 5e-4}),
-            (["convergence"], "convergence_study", {}),
-            (
-                ["convergence", "--base-tau", "1e-4", "--levels", "4"],
-                "convergence_study",
-                {"base_tau": 1e-4, "levels": 4},
-            ),
-        ],
+        "command, study",
+        [("examples", "run_reference_studies"), ("convergence", "convergence_study")],
+        ids=["examples", "convergence"],
     )
-    def test_defaults_come_from_the_library(self, run_dir, monkeypatch, capsys, argv, study,
-                                            given):
-        # a flag left out must reach the study as a missing keyword, so the
-        # study's signature is the only copy of its default
+    def test_defaults_come_from_the_library(self, run_dir, monkeypatch, capsys, command, study):
+        # the CLI runs the library's study as it is, with no argument of its own
         calls = []
 
-        def recording(**kwargs):
-            calls.append(kwargs)
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
             return StudyReport(records=[])
 
         monkeypatch.setattr(cli, study, recording)
-        assert run_cli(argv + ["--out-dir", "defaults-out"]) == 0
+        assert run_cli([command, "--out-dir", "defaults-out"]) == 0
         capsys.readouterr()
-        assert calls == [given]
+        assert calls == [((), {})]

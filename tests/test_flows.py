@@ -55,6 +55,18 @@ class TestFlowModel:
         with pytest.raises(ValueError, match="force must be finite"):
             FlowModel.constant_force(10**400)
 
+    @pytest.mark.parametrize("force", [0.7, -1.3])
+    def test_clockwise_curve_runs_under_the_opposite_force(self, force):
+        # N_i points outward only on a counterclockwise curve, so F on the
+        # reversed star is -F on the star, node for node in reverse order
+        star = build_radial_curve(5, 0.65, 200)
+
+        def final_nodes(curve, f):
+            return evolve(curve, SolverConfig(FlowModel.constant_force(f), 0.05)).final_state.nodes
+
+        clockwise = final_nodes(CurveState(star.nodes[::-1]), force)
+        assert np.abs(clockwise[::-1] - final_nodes(star, -force)).max() <= 1e-12
+
 
 class TestNonlocalForce:
     """The paper's forcing (1/L) * integral of kappa ds, as a reference for the law's F."""

