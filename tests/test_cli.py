@@ -527,21 +527,29 @@ class TestRunCommand:
 
 
 class TestStudySubcommands:
+    def test_examples_fast(self, run_dir, monkeypatch, capsys, reference_report):
+        # the session fixture already ran the studies
+        monkeypatch.setattr(cli, "run_reference_studies", lambda: reference_report)
+        assert run_cli(["examples", "--out-dir", "ex-out"]) == 0
+        out = capsys.readouterr().out
+        assert "shrinking-4fold" in out
+        report = (run_dir / "ex-out" / "report.csv").read_text().splitlines()
+        assert len(report) == 5
+        assert (run_dir / "ex-out" / "conserved-5fold" / "summary.csv").exists()
+
     def test_examples_default_parameters_hold_area(self, run_dir, monkeypatch, capsys,
                                                    reference_report):
         # at M = 200 and tau = 1e-4 the conserved 5-fold study must keep its
         # area drift within 0.5%; the session fixture already ran the studies
         monkeypatch.setattr(cli, "run_reference_studies", lambda: reference_report)
         assert run_cli(["examples", "--out-dir", "ex-full"]) == 0
-        assert "shrinking-4fold" in capsys.readouterr().out
+        capsys.readouterr()
         lines = (run_dir / "ex-full" / "report.csv").read_text().splitlines()
-        assert len(lines) == 5
         header = lines[0].split(",")
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
         drift = float(rows["conserved-5fold"][header.index("area_drift")])
         assert drift <= 5e-3
         assert rows["shrinking-4fold"][header.index("status")] == "extinct"
-        assert (run_dir / "ex-full" / "conserved-5fold" / "summary.csv").exists()
 
     def test_convergence_fast(self, run_dir, monkeypatch, capsys, convergence_report):
         # the session fixture already ran the study
@@ -587,6 +595,12 @@ class TestStudySubcommands:
         assert (run_dir / "keep" / "x").read_text() == "kept"
         assert sorted(p.name for p in run_dir.iterdir()) == ["empty", "keep"]
 
+    def test_removed_base_nodes_flag_exits_1(self, run_dir, capsys):
+        # convergence has no spatial sweep, so --base-nodes is an unknown flag
+        assert run_cli(["convergence", "--base-nodes", "8", "--out-dir", "bad-out"]) == 1
+        assert "unrecognized arguments: --base-nodes 8" in capsys.readouterr().err
+        assert not (run_dir / "bad-out").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -594,11 +608,10 @@ class TestStudySubcommands:
             ["examples", "--tau", "5e-4"],
             ["convergence", "--base-tau", "1e-4"],
             ["convergence", "--levels", "4"],
-            ["convergence", "--base-nodes", "8"],
         ],
         ids=lambda argv: argv[1],
     )
-    def test_removed_base_nodes_flag_exits_1(self, run_dir, capsys, argv):
+    def test_removed_study_flag_exits_1(self, run_dir, capsys, argv):
         # the studies are fixed, so a study parameter is an unknown flag
         assert run_cli(argv + ["--out-dir", "bad-out"]) == 1
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
