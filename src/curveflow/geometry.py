@@ -60,13 +60,13 @@ class CurveState:
     nonzero signed area (so an orientation is defined).  Validation also
     yields the total ``length``, the signed shoelace ``area``, positive iff
     the nodes run counterclockwise, and the per-node geometry, which a step
-    takes.
+    consumes.
     """
 
     nodes: FloatArray
     length: float = field(init=False, repr=False)
     area: float = field(init=False, repr=False)
-    # per-node geometry of the validation pass, taken by the next step
+    # per-node geometry of the validation pass, consumed by the next step
     _pass: _NodeGeometry | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -208,8 +208,10 @@ def _node_geometry(edge: FloatArray, lengths: FloatArray) -> _NodeGeometry:
 
 
 def _state_geometry(curve: CurveState) -> _NodeGeometry:
-    """The curve's per-node geometry; once a step took it, computed anew, bitwise equal."""
-    return curve._pass or CurveState(curve.nodes)._pass
+    """The curve's per-node geometry; once a step consumed it, recomputed bitwise equal and kept."""
+    if curve._pass is None:
+        object.__setattr__(curve, "_pass", CurveState(curve.nodes)._pass)
+    return curve._pass
 
 
 def segment_lengths(curve: CurveState) -> FloatArray:

@@ -185,26 +185,34 @@ def _velocity(geo: _NodeGeometry, length: float, model: FlowModel) -> tuple[floa
 def _bands(geo: _NodeGeometry, alpha: FloatArray, tau: float) -> tuple[FloatArray, ...]:
     """The implicit matrix's row i couples X_{i-1} by lower_i, X_i by 1 + w_prev_i +
     w_next_i and X_{i+1} by upper_i; the centred tangential term leaves the diagonal."""
+    # in place, in the order of advect - w_prev, 1 + w_prev + w_next and -w_next - advect
     weight = (2.0 * tau) / geo.span
     w_prev = weight / geo.d
-    w_next = weight / geo.d_next
-    advect = (tau * alpha) / geo.span
-    return advect - w_prev, 1.0 + w_prev + w_next, -w_next - advect
+    w_next = np.divide(weight, geo.d_next, out=weight)
+    advect = tau * alpha
+    advect /= geo.span
+    diag = 1.0 + w_prev
+    diag += w_next
+    upper = np.negative(w_next, out=w_next)
+    upper -= advect
+    return np.subtract(advect, w_prev, out=w_prev), diag, upper
 
 
 def step(curve: CurveState, config: SolverConfig) -> CurveState:
     """Advance the curve by one semi-implicit backward-Euler step.
 
-    Takes the per-node geometry the input's validation computed, or
-    recomputes it if a step has taken it; raises DegenerateSegmentError, naming
-    the node, when eps*w >= 1 for the scale-free w = w_prev + w_next of ``_bands``,
-    as the step cannot resolve that state, and LinearSolverError when the
-    implicit solve fails.  A step that raises leaves its input as it was.
+    Consumes its input's per-node geometry, whatever the outcome: a later read
+    computes it again, bitwise equal, and keeps it.  Raises DegenerateSegmentError,
+    naming the node, when eps*w >= 1 for the scale-free w = w_prev + w_next of
+    ``_bands``, as the step cannot resolve that state, and LinearSolverError when
+    the implicit solve fails.
     """
     geo = _state_geometry(curve)
     force, alpha = _velocity(geo, curve.length, config.model)
     rhs = geo.normal * (config.tau * force) + curve.nodes.T
     lower, diag, upper = _bands(geo, alpha, config.tau)
+    del geo  # recorded states keep no per-node arrays, and none is alive in the solve
+    object.__setattr__(curve, "_pass", None)
     node = int(diag.argmax())
     if (unresolved := _EPS * (diag[node] - 1.0)) >= 1.0:
         raise DegenerateSegmentError(
@@ -215,8 +223,6 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
         advanced = CurveState(solution.T)
     except ValueError as exc:
         raise DegenerateSegmentError(f"step produced an invalid curve: {exc}") from exc
-    # the pass serves one step only, so recorded states keep no per-node arrays
-    object.__setattr__(curve, "_pass", None)
     return advanced
 
 
@@ -283,7 +289,7 @@ def evolve(
         k += 1
         if k % config.snapshot_every == 0:
             record(k * config.tau, state)
-    if trajectory.final_state is not state:  # the last state is always on record
+    if k % config.snapshot_every:  # step 0 and each multiple are on record
         record(k * config.tau, state)
     last = diagnostics[-1]
     vanishing = (config.model.law is not FlowLaw.AREA_PRESERVING

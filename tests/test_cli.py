@@ -423,9 +423,10 @@ class TestRunCommand:
         assert printed == records == len(list(out.glob("snapshot_*.dat")))
         assert printed == len((out / "summary.csv").read_text().splitlines()) - 1
 
-    def test_aborted_run_computes_each_state_geometry_once(self, run_dir, monkeypatch):
-        # the 7th solve fails: the initial state and steps 1-6 are validated,
-        # and the abort record reads step 6's geometry, which the failed step left
+    def test_aborted_run_recomputes_only_the_abort_records_geometry(self, run_dir, monkeypatch):
+        # the 7th solve fails: the initial state and steps 1-6 are validated, and
+        # the failed step consumed step 6's geometry, so its abort record computes
+        # it once more, and the snapshot's curvature reads that same pass
         calls, solves = [], itertools.count(1)
         node_geometry, solve = geometry._node_geometry, stepping.solve_cyclic_tridiagonal
 
@@ -443,7 +444,7 @@ class TestRunCommand:
         config = _write(run_dir / "run.conf", self.CONFIG.format(out="out-f"))
         assert run_cli(["run", config]) == 2
         assert len(list((run_dir / "out-f").glob("snapshot_*.dat"))) == 3
-        assert len(calls) == 7
+        assert len(calls) == 7 + 1
 
     def test_memory_does_not_grow_with_the_records(self, run_dir):
         # M = 1000 and 99 steps recorded 100 or 10 times: a retained state
@@ -562,7 +563,7 @@ class TestStudySubcommands:
     def test_convergence_level_without_extinction_exits_2(self, run_dir, monkeypatch, capsys):
         # a step that leaves the 200-gon as it is completes [0, 1] without
         # extinction, so the temporal fit has no error at its first level
-        monkeypatch.setattr(stepping, "step", lambda curve, config: CurveState(curve.nodes))
+        monkeypatch.setattr(stepping, "step", lambda curve, config: curve)
         assert run_cli(["convergence", "--out-dir", "cv-out"]) == 2
         err = capsys.readouterr().err
         assert err == "error: circle-extinction-tau-4e-05 ended completed, not extinct, at t=1\n"
@@ -571,7 +572,7 @@ class TestStudySubcommands:
     def test_shrinking_study_without_extinction_exits_2(self, run_dir, monkeypatch, capsys):
         # with the same step the 4-fold star completes [0, 0.6] without going
         # extinct, and the rule that ends convergence's levels ends it too
-        monkeypatch.setattr(stepping, "step", lambda curve, config: CurveState(curve.nodes))
+        monkeypatch.setattr(stepping, "step", lambda curve, config: curve)
         assert run_cli(["examples", "--out-dir", "ex-out"]) == 2
         err = capsys.readouterr().err
         assert err == "error: shrinking-4fold ended completed, not extinct, at t=0.6\n"
