@@ -58,9 +58,6 @@ _KEYS = {
     "polyline_path": (str, ("polyline",)),
 }
 
-#: parameters whose config key is another name
-_PARAMETER_KEYS = {"node_count": "nodes"}
-
 #: one column per DiagnosticsRow field, in field order
 SUMMARY_HEADER = "t,length,area,F,isoperimetric_ratio,uniformity_ratio,min_segment"
 
@@ -115,29 +112,29 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunSpec:
             noun = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key} must be {noun}, got {value!r}", lineno) from None
 
-    def required(key: str):
-        if key not in values:
-            raise ConfigError(f"missing required key {key!r}")
-        return values[key]
+    def required(*keys: str) -> None:
+        for key in keys:
+            if key not in values:
+                raise ConfigError(f"missing required key {key!r}")
 
     def choice(key: str, options):
-        if (value := required(key)) not in options:
+        required(key)
+        if (value := values[key]) not in options:
             raise ConfigError(f"{key} must be one of {'|'.join(options)}, got {value!r}", lines[key])
         return value
 
-    def construct(build, *args, names=()):
-        """Call a validating constructor with the ``names`` whose key is given,
-        so every default stays in its signature.  Its ValueError, whose message
-        starts with the violated parameter, becomes a ConfigError on that key's
-        line."""
-        kwargs = {name: values[key] for name in names
-                  if (key := _PARAMETER_KEYS.get(name, name)) in values}
+    def construct(build, *args, **keys):
+        """Call a validating constructor with each ``parameter="key"`` of ``keys``
+        whose key is given, so every default stays in its signature.  The same
+        mapping places its ValueError: a message starting with one of those
+        parameters names its key instead, on that key's line; any other message,
+        a check of what ``build`` makes, names no line."""
         try:
-            return build(*args, **kwargs)
+            return build(*args, **{name: values[key] for name, key in keys.items() if key in values})
         except ValueError as exc:
             name = str(exc).partition(" ")[0].strip("|")
-            key = _PARAMETER_KEYS.get(name, name)
-            raise ConfigError(str(exc).replace(name, key, 1), lines.get(key)) from None
+            key = keys.get(name)  # None for a message no parameter here starts
+            raise ConfigError(str(exc).replace(name, key or name, 1), lines.get(key)) from None
 
     curve = choice("curve", _CURVES)
     for key, lineno in lines.items():
@@ -151,24 +148,24 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunSpec:
         required("force")
     elif "force" in values:
         raise ConfigError("force only applies to model = constant", lines["force"])
-    model = construct(FlowModel, law, names=("force",))
-    config = construct(SolverConfig, model, required("t_final"), names=("tau", "snapshot_every"))
+    model = construct(FlowModel, law, force="force")
+    required("t_final")
+    config = construct(SolverConfig, model, t_final="t_final", tau="tau", snapshot_every="snapshot_every")
 
     if curve == "polyline":
-        path = Path(base_dir or "", required("polyline_path"))
+        required("polyline_path")
         try:
-            initial = read_polyline(path)
+            initial = read_polyline(Path(base_dir or "", values["polyline_path"]))
         except OSError as exc:
             raise ConfigError(f"cannot read polyline file: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"invalid polyline file: {exc}") from exc
     elif curve == "radial":
-        initial = construct(
-            build_radial_curve, required("folds"), required("amplitude"), names=("node_count",)
-        )
+        required("folds", "amplitude")
+        initial = construct(build_radial_curve, folds="folds", amplitude="amplitude", node_count="nodes")
     else:
-        initial = construct(build_circle, names=("radius", "node_count"))
-    return construct(RunSpec, config, initial, names=("out_dir",))
+        initial = construct(build_circle, radius="radius", node_count="nodes")
+    return construct(RunSpec, config, initial, out_dir="out_dir")
 
 
 def write_snapshot(t: float, curve: CurveState, path: str | Path) -> None:

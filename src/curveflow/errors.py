@@ -6,7 +6,7 @@ class CurveFlowError(Exception):
 
 
 class DegenerateSegmentError(CurveFlowError):
-    """A step cannot resolve its state's segments, or produced an invalid curve."""
+    """A step cannot resolve its state's segments, or produced an invalid or reversed curve."""
 
 
 class LinearSolverError(CurveFlowError):

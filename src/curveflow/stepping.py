@@ -204,8 +204,9 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     Consumes its input's per-node geometry, whatever the outcome: a later read
     computes it again, bitwise equal, and keeps it.  Raises DegenerateSegmentError,
     naming the node, when eps*w >= 1 for the scale-free w = w_prev + w_next of
-    ``_bands``, as the step cannot resolve that state, and LinearSolverError when
-    the implicit solve fails.
+    ``_bands``, as the step cannot resolve that state, and when the new polygon's
+    area has the other sign, as a step may not reverse the orientation; raises
+    LinearSolverError when the implicit solve fails.
     """
     geo = _state_geometry(curve)
     force, alpha = _velocity(geo, curve.length, config.model)
@@ -223,6 +224,8 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
         advanced = CurveState(solution.T)
     except ValueError as exc:
         raise DegenerateSegmentError(f"step produced an invalid curve: {exc}") from exc
+    if (advanced.area > 0.0) != (curve.area > 0.0):  # a product of tiny areas underflows to 0
+        raise DegenerateSegmentError("step reversed the curve's orientation")
     return advanced
 
 
@@ -249,8 +252,8 @@ def evolve(
 ) -> Trajectory:
     """Run ceil(t_final/tau) steps from t=0, so t ends >= t_final up to roundoff.
 
-    It stops early only when a step raises.  A DegenerateSegmentError on a
-    state whose area could vanish within one step at the continuum rate,
+    It stops early only when a step raises.  A step that fails on a state
+    whose area could vanish within one step at the continuum rate,
     |A| < tau*(2*pi - F*L), makes the run ``EXTINCT`` at that state's time
     (0.0 for an initial curve the first step refuses).  Under curve
     shortening that bound is 2*pi*tau.  The conserved law keeps the area, so
@@ -294,7 +297,7 @@ def evolve(
     last = diagnostics[-1]
     vanishing = (config.model.law is not FlowLaw.AREA_PRESERVING
                  and abs(last.area) < config.tau * (2.0 * math.pi - last.forcing * last.length))
-    if isinstance(failure, DegenerateSegmentError) and vanishing:
+    if failure is not None and vanishing:
         trajectory.status = TrajectoryStatus.EXTINCT
         trajectory.extinction_time = last.t
     elif failure is not None:

@@ -94,6 +94,23 @@ class TestParseConfig:
             parse_config(text)
         assert caught.value.line == line
 
+    @pytest.mark.parametrize(
+        "radius,message",
+        [("1e-200", "curve has zero signed area; orientation undefined"),
+         ("1e200", "curve length and area must be finite")],
+    )
+    def test_a_built_polygons_failure_names_no_line(self, run_dir, capsys, radius, message):
+        # a valid radius whose polygon fails its own checks, which no one key
+        # decides: the error names no line, and the run exits 1 with it; the
+        # overflow is the typed error, as in run_cli
+        text = f"curve = circle\nmodel = csf\nradius = {radius}\nt_final = 1"
+        with (pytest.raises(ConfigError, match=message) as caught,
+              np.errstate(over="ignore", invalid="ignore")):
+            parse_config(text)
+        assert caught.value.line is None
+        assert run_cli(["run", _write(run_dir / "r.conf", text)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_type_errors_come_before_cross_key_checks(self):
         # each value is converted as its line is read, so a bad integer on
         # line 2 is reported before the unknown curve on line 1

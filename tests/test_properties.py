@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curveflow
@@ -86,6 +86,25 @@ def test_near_degenerate_polylines_end_in_a_typed_status(model, seed, node_count
     assert isinstance(trajectory.status, TrajectoryStatus)
     assert (trajectory.status is TrajectoryStatus.ABORTED) == (trajectory.error is not None)
     CurveState(trajectory.final_state.nodes)  # the last snapshot is a valid curve
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    node_count=st.integers(4, 12),
+    force=st.one_of(st.none(), st.floats(-2.0, 0.5)),
+)
+@example(seed=169, node_count=4, force=-2.0)  # a run whose last step would reverse it
+def test_small_star_runs_keep_their_orientation(seed, node_count, force):
+    # a counterclockwise bounded-harmonic star of 4 .. 12 nodes under curve
+    # shortening (None) or a constant force, recorded at every step until it
+    # vanishes: no record is clockwise, and no step fails short of extinction
+    model = FlowModel.curve_shortening() if force is None else FlowModel.constant_force(force)
+    curve = random_star_curve(np.random.default_rng(seed), node_count)
+    trajectory = evolve(curve, SolverConfig(model, t_final=3.0, tau=1e-3, snapshot_every=1))
+    ended = (TrajectoryStatus.EXTINCT, TrajectoryStatus.COMPLETED)
+    assert trajectory.status in ended, trajectory.error
+    assert all(row.area > 0.0 for row in trajectory.diagnostics), trajectory.final_time
 
 
 @settings(max_examples=50)

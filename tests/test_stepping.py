@@ -562,14 +562,24 @@ class TestEvolve:
         # the last state of the shrinking 4-fold star spans ~1e-9 near the
         # origin; its area and isoperimetric ratio are those of a small
         # counterclockwise near-circle
-        config = SolverConfig(model=FlowModel.curve_shortening(), t_final=0.6, tau=1e-4)
-        trajectory = evolve(build_radial_curve(4, 0.4, 200), config)
-        assert trajectory.status is TrajectoryStatus.EXTINCT
-        assert trajectory.extinction_time == pytest.approx(0.5410, abs=1e-9)
-        assert trajectory.final_state.area > 0.0
-        last = trajectory.diagnostics[-1]
-        assert last.area > 0.0
-        assert last.isoperimetric_ratio >= 1.0
+        runs = [(200, 4, 0.4, None, 0.5410)]
+        # (M, folds, amplitude, force; None for curve shortening, end): small
+        # stars whose last step would carry the polygon through zero area onto
+        # a clockwise one, which step refuses
+        runs += [(10, 3, 0.5, None, 0.5644), (4, 3, 0.5, None, 0.5348),
+                 (4, 2, 0.3, -1.0, 0.4095), (4, 5, 0.65, -1.0, 0.3876),
+                 (5, 4, 0.4, -1.0, 0.3483), (6, 5, 0.65, -1.0, 0.3727)]
+        for m, folds, amplitude, force, end in runs:
+            model = FlowModel.curve_shortening() if force is None else FlowModel.constant_force(force)
+            config = SolverConfig(model=model, t_final=3.0, tau=1e-4)
+            trajectory = evolve(build_radial_curve(folds, amplitude, m), config)
+            case = (m, folds, amplitude, force)
+            assert trajectory.status is TrajectoryStatus.EXTINCT, case
+            assert trajectory.extinction_time == pytest.approx(end, abs=1e-9), case
+            assert trajectory.final_state.area > 0.0, case
+            last = trajectory.diagnostics[-1]
+            assert last.area > 0.0, case
+            assert last.isoperimetric_ratio >= 1.0, case
 
     def test_length_decreases_under_curve_shortening_convex(self):
         # recorded at every single step
