@@ -81,6 +81,7 @@ def forcing_value(
     satisfies k_i . N_i = -kappa_i.
     """
     if model.law is FlowLaw.AREA_PRESERVING:
-        normal_sq = np.einsum("ij,ij->j", normal, normal)
+        normal_sq = normal[0] * normal[0]
+        normal_sq += normal[1] * normal[1]
         return float(np.dot(kappa, span) / np.dot(normal_sq, span))
     return model.force

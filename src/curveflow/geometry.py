@@ -76,33 +76,42 @@ class CurveState:
         if nodes.shape[0] < 4:
             raise ValueError("a closed curve needs at least 4 nodes")
         rows = np.array(nodes.T, order="C")  # x and y rows, a copy of the input
-        rows.flags.writeable = False
         if not np.isfinite(rows).all():
             raise ValueError("nodes contain non-finite values")
-        prev = np.roll(rows, 1, axis=1)
-        edge = np.empty((2, rows.shape[1] + 1))  # X_i - X_{i-1}; index M repeats 0
-        np.subtract(rows, prev, out=edge[:, :-1])
-        edge[:, -1] = edge[:, 0]
-        gaps = np.hypot(edge[0], edge[1])
-        if not gaps.all():
-            raise ValueError("consecutive nodes must be distinct")
-        # shoelace sum_i (X_{i-1} - X_0) x (X_i - X_{i-1}) / 2; taken about X_0,
-        # a tiny curve away from the origin keeps the sign of its area
-        prev -= rows[:, :1]
-        area = 0.5 * float(np.dot(prev[0], edge[1, :-1]) - np.dot(prev[1], edge[0, :-1]))
-        if area == 0.0:
-            raise ValueError("curve has zero signed area; orientation undefined")
-        length = float(gaps[:-1].sum())
-        if not np.isfinite([length, area]).all():
-            raise ValueError("curve length and area must be finite")
-        fields = dict(nodes=rows.T, length=length, area=area,
-                      _pass=_node_geometry(edge, gaps))
-        for name, value in fields.items():  # frozen: past the dataclass __setattr__
-            object.__setattr__(self, name, value)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises the ValueError alone
+            _on_rows(rows, self)
 
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
+
+
+def _on_rows(rows: FloatArray, state: CurveState | None = None) -> CurveState:
+    """Validate finite (2, M) x and y rows into ``state``, a new one if None, which
+    then owns them read-only: the state a step builds on its solver's rows, uncopied."""
+    state = object.__new__(CurveState) if state is None else state
+    rows.flags.writeable = False
+    prev = np.roll(rows, 1, axis=1)
+    edge = np.empty((2, rows.shape[1] + 1))  # X_i - X_{i-1}; index M repeats 0
+    np.subtract(rows, prev, out=edge[:, :-1])
+    edge[:, -1] = edge[:, 0]
+    gaps = np.hypot(edge[0], edge[1])
+    if not gaps.all():
+        raise ValueError("consecutive nodes must be distinct")
+    # shoelace sum_i (X_{i-1} - X_0) x (X_i - X_{i-1}) / 2; taken about X_0,
+    # a tiny curve away from the origin keeps the sign of its area
+    prev -= rows[:, :1]
+    area = 0.5 * float(np.dot(prev[0], edge[1, :-1]) - np.dot(prev[1], edge[0, :-1]))
+    del prev
+    if area == 0.0:
+        raise ValueError("curve has zero signed area; orientation undefined")
+    length = float(gaps[:-1].sum())
+    if not np.isfinite([length, area]).all():
+        raise ValueError("curve length and area must be finite")
+    fields = dict(nodes=rows.T, length=length, area=area, _pass=_node_geometry(edge, gaps))
+    for name, value in fields.items():  # frozen: past the dataclass __setattr__
+        object.__setattr__(state, name, value)
+    return state
 
 
 def build_radial_curve(folds: int, amplitude: float, node_count: int = 200) -> CurveState:
@@ -184,21 +193,22 @@ class _NodeGeometry(NamedTuple):
 
 def _node_geometry(edge: FloatArray, lengths: FloatArray) -> _NodeGeometry:
     """Every per-node quantity of the scheme, each computed once, from the
-    (2, M+1) edges X_i - X_{i-1} and their (M+1) lengths, index M repeating 0.
+    (2, M+1) edges X_i - X_{i-1}, which become the unit tangents, and their
+    (M+1) lengths, index M repeating 0.
 
     The chord X_{i+1} - X_{i-1} is the sum of the edges entering and leaving
     node i.
     """
-    tangent = edge / lengths
     span = lengths[:-1] + lengths[1:]
-    curvature_vec = tangent[:, 1:] - tangent[:, :-1]
-    curvature_vec *= 2.0
-    curvature_vec /= span
-    normal = np.empty_like(curvature_vec)  # (chord_y, -chord_x) / span
+    normal = np.empty((2, span.size))  # (chord_y, -chord_x) / span
     np.add(edge[1, :-1], edge[1, 1:], out=normal[0])
     np.add(edge[0, :-1], edge[0, 1:], out=normal[1])
     normal /= span
     normal[1] *= -1.0
+    tangent = np.divide(edge, lengths, out=edge)  # the normal holds the chord
+    curvature_vec = tangent[:, 1:] - tangent[:, :-1]
+    curvature_vec *= 2.0
+    curvature_vec /= span
     kappa = curvature_vec[0] * normal[0]
     kappa += curvature_vec[1] * normal[1]
     kappa *= -1.0

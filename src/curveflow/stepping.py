@@ -11,7 +11,7 @@ One step solves, for every node i with periodic wraparound,
 with the segment lengths d_i, the forcing F, the normal term and the
 tangential speed alpha all lagged at time n.  A step runs ``_velocity`` (F and
 alpha), ``_bands`` (the M x M cyclic tridiagonal matrix of both coordinates),
-``solve_cyclic_tridiagonal`` (one banded solve) and ``CurveState``, in order.
+``solve_cyclic_tridiagonal`` (one banded solve) and ``_on_rows`` (the new state), in order.
 
 The tangential term alpha_i*T_i, T_i = (X_{i+1} - X_{i-1})/(d_i+d_{i+1}),
 redistributes the nodes along the curve without changing its shape or its
@@ -39,7 +39,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DegenerateSegmentError, LinearSolverError
 from .flows import FlowLaw, FlowModel, forcing_value
-from .geometry import CurveState, FloatArray, _NodeGeometry, _count, _real, _state_geometry
+from .geometry import CurveState, FloatArray, _NodeGeometry, _count, _on_rows, _real, _state_geometry
 from .geometry import discrete_curvature, segment_lengths  # noqa: F401 (benchmarks/tracer.py)
 
 
@@ -137,6 +137,7 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
     abs_diag, off_sum = np.abs(diag), np.abs(lower) + np.abs(upper)
     if not (abs_diag - off_sum > -8.0 * _EPS * (abs_diag + off_sum)).all():
         raise LinearSolverError("matrix is not strictly diagonally dominant")
+    del abs_diag, off_sum
     bands = np.empty((3, m))  # solve_banded layout
     bands[0, 1:] = upper[:-1]
     bands[1] = diag
@@ -153,14 +154,16 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> FloatArray:
                          check_finite=False).T
     except np.linalg.LinAlgError as exc:  # gtsv met an exactly zero pivot
         raise LinearSolverError("tridiagonal part is singular") from exc
-    x, z = y[:-1], y[-1]
+    del bands  # the solve's scratch, overwritten
+    z = y[-1]
     ratio = float(lower[0] / gamma)
     head, tail = float(z[0]), ratio * float(z[-1])
     denom = 1.0 + head + tail
     if not abs(denom) > 8.0 * _EPS * (1.0 + abs(head) + abs(tail)):  # roundoff, or NaN
         raise LinearSolverError("rank-one correction is singular")
-    for row in x:  # Sherman-Morrison in place: x = y - (v.y / (1 + v.z)) z
-        row -= (float(row[0]) + ratio * float(row[-1])) / denom * z
+    x = np.empty((len(y) - 1, m))  # rows of their own, so no caller keeps u's row
+    for row, out in zip(y, x):  # Sherman-Morrison: x = y - (v.y / (1 + v.z)) z
+        np.subtract(row, (float(row[0]) + ratio * float(row[-1])) / denom * z, out=out)
     if not np.isfinite(x).all():
         raise LinearSolverError("solver produced non-finite values")
     return x[0] if rhs.ndim == 1 else x
@@ -172,9 +175,11 @@ def _velocity(geo: _NodeGeometry, length: float, model: FlowModel) -> tuple[floa
     # _diagnostics_row reads the same geometry, so it records the applied F bitwise
     force = forcing_value(model, geo.kappa, geo.span, geo.normal)
     velocity = geo.curvature_vec + force * geo.normal
-    jump = velocity - np.concatenate((velocity[:, -1:], velocity[:, :-1]), axis=1)
+    jump = np.concatenate((velocity[:, -1:], velocity[:, :-1]), axis=1)
+    np.subtract(velocity, jump, out=jump)  # V_i - V_{i-1}, in the shifted copy
+    del velocity
     jump *= geo.tangent
-    rate = jump[0] + jump[1]
+    rate = np.add(jump[0], jump[1], out=jump[0])
     relax = float(np.dot(geo.kappa * geo.kappa, geo.span)) / (2.0 * length)
     drift = float(rate.sum()) / length - relax
     alpha = np.cumsum(geo.d * drift + relax * length / rate.size - rate)
@@ -189,7 +194,7 @@ def _bands(geo: _NodeGeometry, alpha: FloatArray, tau: float) -> tuple[FloatArra
     weight = (2.0 * tau) / geo.span
     w_prev = weight / geo.d
     w_next = np.divide(weight, geo.d_next, out=weight)
-    advect = tau * alpha
+    advect = np.multiply(alpha, tau, out=alpha)
     advect /= geo.span
     diag = 1.0 + w_prev
     diag += w_next
@@ -210,18 +215,19 @@ def step(curve: CurveState, config: SolverConfig) -> CurveState:
     """
     geo = _state_geometry(curve)
     force, alpha = _velocity(geo, curve.length, config.model)
-    rhs = geo.normal * (config.tau * force) + curve.nodes.T
     lower, diag, upper = _bands(geo, alpha, config.tau)
-    del geo  # recorded states keep no per-node arrays, and none is alive in the solve
-    object.__setattr__(curve, "_pass", None)
+    object.__setattr__(curve, "_pass", None)  # before its normal becomes the right-hand side
+    rhs = np.multiply(geo.normal, config.tau * force, out=geo.normal)
+    rhs += curve.nodes.T
+    del geo, alpha  # recorded states keep no per-node arrays, and none is alive in the solve
     node = int(diag.argmax())
     if (unresolved := _EPS * (diag[node] - 1.0)) >= 1.0:
         raise DegenerateSegmentError(
             f"segments at node {node} too short to resolve: eps*w = {unresolved:.3e}")
     solution = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-    del alpha, rhs, lower, diag, upper  # none is alive while the new state is validated
+    del rhs, lower, diag, upper  # none is alive while the new state is validated
     try:
-        advanced = CurveState(solution.T)
+        advanced = _on_rows(solution)
     except ValueError as exc:
         raise DegenerateSegmentError(f"step produced an invalid curve: {exc}") from exc
     if (advanced.area > 0.0) != (curve.area > 0.0):  # a product of tiny areas underflows to 0

@@ -102,10 +102,9 @@ class TestParseConfig:
     def test_a_built_polygons_failure_names_no_line(self, run_dir, capsys, radius, message):
         # a valid radius whose polygon fails its own checks, which no one key
         # decides: the error names no line, and the run exits 1 with it; the
-        # overflow is the typed error, as in run_cli
+        # overflow is the typed error with no numpy warning before it
         text = f"curve = circle\nmodel = csf\nradius = {radius}\nt_final = 1"
-        with (pytest.raises(ConfigError, match=message) as caught,
-              np.errstate(over="ignore", invalid="ignore")):
+        with pytest.raises(ConfigError, match=message) as caught:
             parse_config(text)
         assert caught.value.line is None
         assert run_cli(["run", _write(run_dir / "r.conf", text)]) == 1

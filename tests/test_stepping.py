@@ -24,6 +24,7 @@ from curveflow import (
     step,
     stepping,
 )
+from conftest import random_star_curve
 from support import check_bitwise_equivalence, regular_polygon_radii
 
 
@@ -311,13 +312,16 @@ class TestStep:
         assert len(calls) == 20
         assert counted_run.final_state.nodes.tobytes() == plain.final_state.nodes.tobytes()
 
-    @pytest.mark.parametrize("m, bound", [(200, 210), (1000, 183), (5000, 177)],
+    @pytest.mark.parametrize("m, bound", [(200, 160), (1000, 133), (5000, 127)],
                              ids=["M200", "M1000", "M5000"])
     def test_working_set_per_node(self, m, bound):
-        # validation builds the padded edges and lengths once and its geometry
-        # in place, the bands are built in place, the input's geometry is freed
-        # before the solve, and the right-hand side and alpha are gone by the
-        # new state's validation
+        # _velocity forms the jump in its shifted copy and the rate in the jump;
+        # _bands forms advect in alpha and its bands in place; the step forms
+        # the right-hand side in the consumed normal and frees the input's
+        # geometry before the solve; the solver frees its dominance sums before
+        # its bands and its bands after the solve, and returns rows of their
+        # own; validation takes those rows uncopied, frees the shifted rows once
+        # the area is taken, and divides the tangents into the edges
         config = SolverConfig(FlowModel.curve_shortening(), t_final=1.0, tau=1e-4)
         state = build_radial_curve(4, 0.4, m)
         for _ in range(3):
@@ -397,6 +401,24 @@ class TestGeometryHandOff:
         assert curve._pass is None
         assert (curve.nodes.tobytes(), curve.length, curve.area) == (nodes, length, area)
         assert [field.tobytes() for field in geometry._state_geometry(curve)] == fields
+
+    def test_the_new_state_is_validated_on_the_solvers_rows(self, monkeypatch):
+        # the step builds its state on the rows the solver returns, uncopied:
+        # bitwise the constructor's state on the same nodes, which copies them,
+        # and holding the 2*M node floats alone, not the Sherman-Morrison row
+        solve, solved = stepping.solve_cyclic_tridiagonal, []
+        monkeypatch.setattr(stepping, "solve_cyclic_tridiagonal",
+                            lambda *args: solved.append(solve(*args)) or solved[-1])
+        m = 64
+        stepped = step(random_star_curve(np.random.default_rng(3), m), self.CONFIG)
+        copied = CurveState(solved[0].T)
+        assert stepped.nodes.base is solved[0]
+        assert not np.shares_memory(copied.nodes, solved[0])
+        assert stepped.nodes.tobytes() == copied.nodes.tobytes()
+        assert (stepped.length, stepped.area) == (copied.length, copied.area)
+        assert [f.tobytes() for f in stepped._pass] == [f.tobytes() for f in copied._pass]
+        assert not stepped.nodes.flags.writeable
+        assert stepped.nodes.base.size == 2 * m
 
     def test_recorded_states_keep_no_pass(self):
         # retained records hold no per-node arrays beyond their nodes
