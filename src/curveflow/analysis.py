@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -44,12 +44,13 @@ class CircleOracle:
     def __post_init__(self):
         radius = _real(self.initial_radius, "initial_radius must be positive", lambda r: r > 0)
         object.__setattr__(self, "initial_radius", radius)
+        if not isinstance(self.model, FlowModel):
+            raise ValueError("model must be a FlowModel")
 
     def extinction_time(self) -> float | None:
         """Time at which the circle vanishes, or None if it never does."""
         r0 = self.initial_radius
-        law = self.model.law
-        if law is FlowLaw.AREA_PRESERVING:
+        if self.model.law is FlowLaw.AREA_PRESERVING:
             return None
         f0 = self.model.force
         if f0 * r0 >= 1.0:
@@ -67,8 +68,7 @@ def circle_radius(oracle: CircleOracle, t: float) -> float | None:
     """
     t = _real(t, "t must be >= 0", lambda t: t >= 0)
     r0 = oracle.initial_radius
-    law = oracle.model.law
-    if law is FlowLaw.AREA_PRESERVING:
+    if oracle.model.law is FlowLaw.AREA_PRESERVING:
         return r0
     f0 = oracle.model.force
     if f0 == 0.0:
@@ -116,9 +116,7 @@ class StudyReport:
 
 def nonconvex_fixture() -> CurveState:
     """The bundled 200-point nonconvex star-shaped test polyline."""
-    source = resources.files("curveflow") / "data" / "nonconvex_blob.txt"
-    with resources.as_file(source) as path:
-        return read_polyline(path)
+    return read_polyline(Path(__file__).with_name("data") / "nonconvex_blob.txt")
 
 
 def _run_study(name: str, curve: CurveState, config: SolverConfig) -> StudyRecord:
@@ -171,8 +169,7 @@ def run_reference_studies() -> StudyReport:
 
 def _fit_order(x: list[float], err: list[float]) -> float:
     """Least-squares slope of log(err) against log(x)."""
-    slope = np.polyfit(np.log(np.asarray(x)), np.log(np.asarray(err)), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(x), np.log(err), 1)[0])
 
 
 def convergence_study() -> StudyReport:
@@ -185,20 +182,13 @@ def convergence_study() -> StudyReport:
     """
     csf = FlowModel.curve_shortening()
     exact = CircleOracle(1.0, csf).extinction_time()
-    records = []
-    extinction_errors = []
-    for tau in (4e-5, 2e-5, 1e-5):
-        config = SolverConfig(csf, t_final=1.0, tau=tau, snapshot_every=2000)
-        record = _run_study(f"circle-extinction-tau-{tau:g}", build_circle(1.0, 200), config)
-        records.append(record)
-        if record.extinction_time is not None:
-            extinction_errors.append((tau, abs(record.extinction_time - exact)))
-
-    fitted = {}
-    if len(extinction_errors) >= 2:
-        fitted["extinction_time_vs_tau"] = _fit_order(*zip(*extinction_errors))
+    records = [_run_study(f"circle-extinction-tau-{tau:g}", build_circle(1.0, 200),
+                          SolverConfig(csf, t_final=1.0, tau=tau, snapshot_every=2000))
+               for tau in (4e-5, 2e-5, 1e-5)]
+    errors = [(r.config.tau, abs(r.extinction_time - exact))
+              for r in records if r.extinction_time is not None]
     return StudyReport(
         records=records,
-        fitted_orders=fitted,
-        error_tables={"extinction_time_error_vs_tau": extinction_errors},
+        fitted_orders={"extinction_time_vs_tau": _fit_order(*zip(*errors))} if len(errors) >= 2 else {},
+        error_tables={"extinction_time_error_vs_tau": errors},
     )

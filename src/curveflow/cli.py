@@ -306,8 +306,10 @@ def _cmd_study(args) -> int:
     _write_report(report, out_dir)
     _print_report(report)
     print(f"report written to {args.out_dir}")
-    if any(r.status == TrajectoryStatus.ABORTED.value for r in report.records):
-        raise CurveFlowError("at least one study aborted")
+    aborted = [f"{r.name}: {r.trajectory.error}" for r in report.records
+               if r.status == TrajectoryStatus.ABORTED.value]
+    if aborted:
+        raise CurveFlowError("at least one study aborted: " + "; ".join(aborted))
     return 0
 
 

@@ -51,9 +51,11 @@ class FlowModel:
     force: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.law, FlowLaw):
+            raise ValueError("law must be a FlowLaw")
         object.__setattr__(self, "force", _real(self.force, "force must be finite"))
         if self.law is not FlowLaw.CONSTANT_FORCE and self.force != 0.0:
-            raise ValueError(f"{self.law.value} does not take a force value")
+            raise ValueError("force only applies to the constant law")
 
     @classmethod
     def curve_shortening(cls) -> "FlowModel":

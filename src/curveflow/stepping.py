@@ -56,6 +56,8 @@ class SolverConfig:
     snapshot_every: int = 100
 
     def __post_init__(self):
+        if not isinstance(self.model, FlowModel):
+            raise ValueError("model must be a FlowModel")
         object.__setattr__(self, "tau", _real(self.tau, "tau > 0", lambda tau: tau > 0))
         object.__setattr__(self, "t_final", _real(self.t_final, "t_final >= 0", lambda t: t >= 0))
         if not math.isfinite(self.t_final / self.tau):

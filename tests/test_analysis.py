@@ -8,9 +8,14 @@ import pytest
 
 from curveflow import (
     CircleOracle,
+    CurveFlowError,
+    DiagnosticsRow,
+    FlowLaw,
     FlowModel,
     SolverConfig,
+    Trajectory,
     TrajectoryStatus,
+    analysis,
     build_circle,
     circle_radius,
     convergence_study,
@@ -49,6 +54,11 @@ class TestCircleOracle:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             CircleOracle(0.0, FlowModel.curve_shortening())
+
+    @pytest.mark.parametrize("model", ["area_preserving", FlowLaw.AREA_PRESERVING, None])
+    def test_model_must_be_a_flow_model(self, model):
+        with pytest.raises(ValueError, match="^model"):
+            CircleOracle(1.0, model)
 
     def test_rejects_negative_time(self):
         oracle = CircleOracle(1.0, FlowModel.curve_shortening())
@@ -245,6 +255,47 @@ class TestConvergenceStudy:
         assert [tau for tau, _ in table] == [4e-5, 2e-5, 1e-5]
         assert set(convergence_report.error_tables) == {"extinction_time_error_vs_tau"}
         assert set(convergence_report.fitted_orders) == {"extinction_time_vs_tau"}
+
+    @staticmethod
+    def canned_levels(monkeypatch, statuses):
+        """Make each tau level's run end with the status given for its tau,
+        an extinct one at 0.5 + 11*tau, without taking a step."""
+        row = DiagnosticsRow(0.0, 2.0 * math.pi, math.pi, 0.0, 1.0, 1.0, 0.03)
+
+        def canned_evolve(curve, config):
+            status = statuses[config.tau]
+            extinct, aborted = status is TrajectoryStatus.EXTINCT, status is TrajectoryStatus.ABORTED
+            return Trajectory([(0.0, curve)], [row], status,
+                              extinction_time=0.5 + 11.0 * config.tau if extinct else None,
+                              error="step 1 (t=2e-05): injected failure" if aborted else None)
+
+        monkeypatch.setattr(analysis, "evolve", canned_evolve)
+
+    def test_an_aborted_level_is_recorded_and_left_out_of_the_fit(self, monkeypatch):
+        extinct, aborted = TrajectoryStatus.EXTINCT, TrajectoryStatus.ABORTED
+        self.canned_levels(monkeypatch, {4e-5: extinct, 2e-5: aborted, 1e-5: extinct})
+        report = convergence_study()
+        assert [r.status for r in report.records] == ["extinct", "aborted", "extinct"]
+        assert report.records[1].trajectory.error.endswith("injected failure")
+        table = report.error_tables["extinction_time_error_vs_tau"]
+        assert table == [(tau, abs(0.5 + 11.0 * tau - 0.5)) for tau in (4e-5, 1e-5)]
+        assert report.fitted_orders == {"extinction_time_vs_tau": analysis._fit_order(*zip(*table))}
+        assert report.fitted_orders["extinction_time_vs_tau"] == pytest.approx(1.0)
+
+    def test_one_extinct_level_gives_one_row_and_no_fit(self, monkeypatch):
+        extinct, aborted = TrajectoryStatus.EXTINCT, TrajectoryStatus.ABORTED
+        self.canned_levels(monkeypatch, {4e-5: aborted, 2e-5: extinct, 1e-5: aborted})
+        report = convergence_study()
+        assert len(report.records) == 3
+        table = report.error_tables["extinction_time_error_vs_tau"]
+        assert table == [(2e-5, abs(0.5 + 11.0 * 2e-5 - 0.5))]
+        assert report.fitted_orders == {}
+
+    def test_a_completed_level_raises(self, monkeypatch):
+        extinct, completed = TrajectoryStatus.EXTINCT, TrajectoryStatus.COMPLETED
+        self.canned_levels(monkeypatch, {4e-5: extinct, 2e-5: completed, 1e-5: extinct})
+        with pytest.raises(CurveFlowError, match="^circle-extinction-tau-2e-05 ended completed"):
+            convergence_study()
 
     def test_tracks_circle_radius_oracle(self, convergence_report):
         # finest run: radius error against sqrt(1-2t) stays below 5e-3 to t=0.45

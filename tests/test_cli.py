@@ -634,14 +634,21 @@ class TestStudySubcommands:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
         assert not (run_dir / "bad-out").exists()
 
-    @pytest.mark.parametrize("command", ["examples", "convergence"])
-    def test_aborted_study_exits_2(self, run_dir, monkeypatch, capsys, command):
+    @pytest.mark.parametrize(
+        "command, study",
+        [("examples", "conserved-5fold"), ("convergence", "circle-extinction-tau-2e-05")],
+        ids=["examples", "convergence"],
+    )
+    def test_aborted_study_exits_2(self, run_dir, monkeypatch, capsys, command, study):
         def failing_step(curve, config):
             raise LinearSolverError("injected failure")
 
         monkeypatch.setattr(stepping, "step", failing_step)
         assert run_cli([command, "--out-dir", "abort-out"]) == 2
-        assert "at least one study aborted" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: at least one study aborted: ")
+        assert f"{study}: step 1 (t=" in err
+        assert "injected failure" in err
 
     @pytest.mark.parametrize(
         "command, study",

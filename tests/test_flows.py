@@ -45,8 +45,14 @@ class TestFlowModel:
         assert FlowModel.area_preserving().law is FlowLaw.AREA_PRESERVING
 
     def test_force_only_for_constant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^force"):
             FlowModel(FlowLaw.CURVE_SHORTENING, force=1.0)
+
+    @pytest.mark.parametrize("law", ["area_preserving", "csf", 2])
+    def test_law_must_be_a_flow_law(self, law):
+        # a law's value or a number is not the law: "area_preserving" ran curve shortening
+        with pytest.raises(ValueError, match="^law"):
+            FlowModel(law)
 
     def test_force_must_be_finite(self):
         with pytest.raises(ValueError):

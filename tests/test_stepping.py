@@ -10,6 +10,7 @@ import pytest
 from curveflow import (
     CurveState,
     DegenerateSegmentError,
+    FlowLaw,
     FlowModel,
     LinearSolverError,
     SolverConfig,
@@ -124,6 +125,11 @@ class TestSolverConfig:
             SolverConfig(model=model, t_final=-1.0)
         with pytest.raises(ValueError, match="snapshot_every"):
             SolverConfig(model=model, t_final=1.0, snapshot_every=0)
+
+    @pytest.mark.parametrize("model", ["csf", FlowLaw.CURVE_SHORTENING, None])
+    def test_model_must_be_a_flow_model(self, model):
+        with pytest.raises(ValueError, match="^model"):
+            SolverConfig(model, t_final=0.01)
 
     def test_rejects_a_tau_too_small_for_the_step_count(self):
         # t_final / tau overflows to inf, so no step count exists
